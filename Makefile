@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-canary test race bench experiments trace-smoke serve-smoke dashboard-smoke chaos chaos-cluster kill-smoke cluster-smoke heal-smoke clean
+.PHONY: all build vet lint lint-canary test race bench experiments trace-smoke serve-smoke dashboard-smoke chaos chaos-cluster fuzz kill-smoke cluster-smoke heal-smoke clean
 
 all: build test
 
@@ -63,13 +63,22 @@ chaos:
 	EMCSIM_CHAOS_SCHEDULES=50 $(GO) test -race -run TestChaosSchedules -count=1 ./internal/service/
 
 # Multi-node chaos: 25 seeded fault schedules through a 3-node fabric under
-# the race detector (forwarding/replication/steal failpoints, a network
-# partition window, node kills mid-sweep), plus 25 self-healing schedules
-# (join mid-sweep, kill-and-restart with anti-entropy backfill, flapping
-# peers through the circuit breakers). Deterministic per seed; see
-# internal/cluster/chaos_cluster_test.go and chaos_heal_test.go.
+# the race detector (forward, torn-frame, fetch, heartbeat and steal
+# failpoints, a network partition window, node kills mid-sweep), plus 25
+# self-healing schedules (join mid-sweep, kill-and-restart with anti-entropy
+# backfill, flapping peers through the circuit breakers; digest and fetch
+# failpoints). Each schedule logs every node's cluster counters under -v.
+# Deterministic per seed; see internal/cluster/chaos_cluster_test.go and
+# chaos_heal_test.go.
 chaos-cluster:
 	EMCSIM_CHAOS_SCHEDULES=25 $(GO) test -race -run 'TestClusterChaosSchedules|TestClusterHealSchedules' -count=1 ./internal/cluster/
+
+# Decoder fuzzing: explore FuzzDecodeRecord (the EMCR frame decoder every
+# record from disk or a peer passes through) beyond its committed seed corpus
+# in internal/service/testdata/fuzz. Plain `go test` replays only the seeds.
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime=$(FUZZTIME) ./internal/service/
 
 # Crash-recovery smoke: boot emcserve with a durable cache, compute a
 # result, SIGKILL the server mid-sweep, restart it over the same directory,

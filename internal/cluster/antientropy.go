@@ -5,17 +5,13 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/service"
 )
 
-// Anti-entropy failpoints (see internal/fault): antientropy.digest fails a
-// round's digest RPC as unreachable (the node skips that peer this round);
-// antientropy.fetch drops one missing record's backfill (a later round, or
-// ordinary replication, must cover it).
-var (
-	fpAEDigest = fault.Register(fault.SiteClusterAntiEntropyDigest)
-	fpAEFetch  = fault.Register(fault.SiteClusterAntiEntropyFetch)
-)
+// Anti-entropy failpoint (see internal/fault): antientropy.digest fails a
+// round's digest RPC as unreachable (the node skips that peer this round).
+// Backfill fetches go through fetchRecord, so the cluster/fetch and
+// replicate.recv sites cover them.
+var fpAEDigest = fault.Register(fault.SiteClusterAntiEntropyDigest)
 
 // bucketOf folds a cache key into its anti-entropy digest bucket. It reuses
 // the ring hash, so a key's bucket is the same on every node — the property
@@ -60,8 +56,8 @@ func (n *Node) HandleKeys(bucket int) []string {
 // digests with one live peer (round-robin over the sorted peer list) and
 // backfill whatever records the peer has that this node lacks. Pull-based
 // and pairwise, so a freshly restarted node with an empty or stale cache
-// converges to the cluster's full replica set in a few rounds without any
-// node tracking who missed which replica.
+// converges to the cluster's full record set in a few rounds without any
+// node tracking who holds which record.
 func (n *Node) antiEntropy() {
 	defer n.wg.Done()
 	t := time.NewTicker(n.opts.AntiEntropyInterval)
@@ -128,32 +124,7 @@ func (n *Node) antiEntropyRound(peer string) {
 	n.syncing.Store(true)
 	defer n.syncing.Store(false)
 	for _, k := range missing {
-		if fpAEFetch.Fire() {
-			continue
-		}
-		if n.aeBackfill(peer, k) {
-			n.backfilled.Add(1)
-		}
+		// A failed backfill is retried by a later round.
+		n.fetchRecord(context.Background(), peer, k, &n.backfilled)
 	}
-}
-
-// aeBackfill fetches one missing durable record from peer, validates the
-// frame end to end, and seeds it into the local cache (write-through to
-// disk when configured).
-func (n *Node) aeBackfill(peer, key string) bool {
-	var frame []byte
-	err := n.viaBreaker(peer, func() error {
-		var err error
-		frame, err = n.tr.Fetch(context.Background(), peer, key)
-		return err
-	})
-	if err != nil {
-		return false
-	}
-	k, res, err := service.DecodeRecord(frame)
-	if err != nil || k != key {
-		return false
-	}
-	n.svc.SeedResult(key, res)
-	return true
 }

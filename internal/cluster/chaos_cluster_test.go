@@ -37,7 +37,7 @@ import (
 )
 
 // clusterChaosPool mirrors the service chaos pool: small enough that
-// duplicates (cluster-wide coalescing, replication hits) are common.
+// duplicates (cluster-wide coalescing, fetched-record hits) are common.
 func clusterChaosPool() []sim.Config {
 	var pool []sim.Config
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -95,9 +95,6 @@ func armClusterChaos(t *testing.T, rng *rand.Rand) string {
 	}
 	if rng.Float64() < 0.5 {
 		arm(fault.SiteClusterForward, prob(0.05+0.15*rng.Float64()))
-	}
-	if rng.Float64() < 0.5 {
-		arm(fault.SiteClusterReplicateSend, prob(0.2+0.3*rng.Float64()))
 	}
 	if rng.Float64() < 0.5 {
 		arm(fault.SiteClusterReplicateRecv, prob(0.2+0.3*rng.Float64()))
@@ -159,6 +156,7 @@ func runClusterChaosSchedule(t *testing.T, seed int64, pool []sim.Config, refs [
 			}
 		})
 	faults := armClusterChaos(t, rng)
+	logCounters(t, f)
 
 	// Entry point is always node0 (never killed), so every caller-visible
 	// job survives the schedule. Kills and partitions hit nodes 1 and 2 —
@@ -233,7 +231,7 @@ func runClusterChaosSchedule(t *testing.T, seed int64, pool []sim.Config, refs [
 	}
 
 	// Disarm before the bookkeeping sweep: the fabric keeps running
-	// (heartbeats, steals, late replications) until Close.
+	// (heartbeats, steals, late stolen-job returns) until Close.
 	fault.DisableAll()
 
 	for i, n := range f.Nodes {
@@ -267,4 +265,15 @@ func runClusterChaosSchedule(t *testing.T, seed int64, pool []sim.Config, refs [
 			}
 		}
 	}
+}
+
+// logCounters logs every node's cluster counters when the schedule ends,
+// so `go test -v` shows which fabric mechanisms the schedule exercised. A
+// restarted slot reports its new instance only.
+func logCounters(t *testing.T, f *cluster.Fabric) {
+	t.Cleanup(func() {
+		for _, n := range f.Nodes {
+			t.Logf("counters %s: %+v", n.ID(), n.Counters())
+		}
+	})
 }

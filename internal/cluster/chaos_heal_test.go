@@ -1,9 +1,9 @@
 // Self-healing chaos schedules: seeded scenarios that exercise the heal
-// paths specifically — a node joining mid-sweep (ring handover), a killed
+// paths specifically — a node joining mid-sweep (ring growth), a killed
 // node restarting empty and backfilling (anti-entropy recovery), and a
 // flapping peer (breaker trips and half-open recovery) — with the heal
-// failpoints (digest skip, backfill fetch failure, handover ack loss) armed
-// probabilistically on top. The invariants are the same as the base chaos
+// failpoints (digest skip, record-fetch failure) armed probabilistically
+// on top. The invariants are the same as the base chaos
 // suite: no lost, duplicated, or torn results.
 //
 // Failpoints are process-global, so schedules run sequentially — no
@@ -40,8 +40,9 @@ func TestClusterHealSchedules(t *testing.T) {
 }
 
 // armHealChaos arms a random subset of the self-healing failpoints. None of
-// these can fail a job — a lost handover ack reclaims, a failed backfill
-// retries next round — so the schedule asserts every job ends done.
+// these can fail a job — a skipped digest or a failed backfill retries next
+// round, a failed owner fetch re-dispatches — so the schedule asserts every
+// job ends done.
 func armHealChaos(t *testing.T, rng *rand.Rand) string {
 	desc := ""
 	arm := func(name string, trig fault.Trigger) {
@@ -59,13 +60,7 @@ func armHealChaos(t *testing.T, rng *rand.Rand) string {
 		arm(fault.SiteClusterAntiEntropyDigest, prob(0.2+0.2*rng.Float64()))
 	}
 	if rng.Float64() < 0.5 {
-		arm(fault.SiteClusterAntiEntropyFetch, prob(0.2+0.2*rng.Float64()))
-	}
-	if rng.Float64() < 0.5 {
-		arm(fault.SiteClusterHandoverAck, prob(0.3))
-	}
-	if rng.Float64() < 0.4 {
-		arm(fault.SiteClusterReplicateSend, prob(0.2+0.3*rng.Float64()))
+		arm(fault.SiteClusterFetch, prob(0.2+0.2*rng.Float64()))
 	}
 	return desc
 }
@@ -85,7 +80,7 @@ func runClusterHealSchedule(t *testing.T, seed int64, pool []sim.Config, refs []
 		}
 	}
 	heartbeat := time.Duration(5+rng.Intn(10)) * time.Millisecond
-	opts := func(i int) cluster.Options {
+	opts := func(int) cluster.Options {
 		return cluster.Options{
 			HeartbeatInterval:   heartbeat,
 			SuspectAfter:        40 * time.Millisecond,
@@ -93,13 +88,13 @@ func runClusterHealSchedule(t *testing.T, seed int64, pool []sim.Config, refs []
 			StealThreshold:      1 + rng.Intn(2),
 			DelegationTimeout:   500 * time.Millisecond,
 			AntiEntropyInterval: time.Duration(10+rng.Intn(15)) * time.Millisecond,
-			Weight:              1 + i%2, // heterogeneous ring on purpose
 			BreakerThreshold:    3,
 			BreakerCooldown:     time.Duration(30+rng.Intn(50)) * time.Millisecond,
 		}
 	}
 	f := newFabricOpts(t, 3, scfg, opts)
 	faults := armHealChaos(t, rng)
+	logCounters(t, f)
 	scenario := []string{"join", "recover", "flap"}[rng.Intn(3)]
 
 	// Burst to node0 (never killed), like the base chaos suite.

@@ -16,8 +16,8 @@ import (
 // acceptance bar): the Fig. 12 sweep — 80 quad-core runs — with every run
 // round-robined across a 3-node fabric must render byte-identically to the
 // direct single-process path. Routing, cross-node coalescing, result
-// fetch, and replication all sit between the submission and the table; the
-// bytes must not care.
+// fetch, and stolen-job returns all sit between the submission and the
+// table; the bytes must not care.
 func TestFabricFigureBytesIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("80-run sweep ×2 paths; skipped in -short")

@@ -31,14 +31,16 @@ const peerIDHeader = "X-Emc-Node"
 //
 //	POST /api/v1/cluster/submit     forwarded job intake (SubmitRequest)
 //	GET  /api/v1/cluster/record     ?key= -> durable EMCR frame bytes
-//	POST /api/v1/cluster/replicate  durable EMCR frame body
+//	POST /api/v1/cluster/replicate  stolen job's result as an EMCR frame
 //	GET  /api/v1/cluster/ping       Health JSON
 //	POST /api/v1/cluster/steal      one StolenJob JSON, or 204 when declined
 //	POST /api/v1/cluster/join       Member JSON -> member list JSON
 //	GET  /api/v1/cluster/members    member list JSON
 //	GET  /api/v1/cluster/digest     anti-entropy Digest JSON
 //	GET  /api/v1/cluster/keys       ?bucket=N -> key list JSON
-//	POST /api/v1/cluster/handover   HandoverRequest JSON
+//
+// Request bodies are capped at service.MaxRequestBody; a larger one gets
+// 400 like any other unreadable body.
 //
 // A non-empty token shields every /api/v1/cluster/* endpoint behind a
 // shared bearer token (constant-time compare, 401 on mismatch, rejections
@@ -88,12 +90,21 @@ func NewHandler(n *Node, reg *obs.Registry, token string) http.Handler {
 	}))
 	mux.HandleFunc("GET /api/v1/cluster/digest", guard(n.httpDigest))
 	mux.HandleFunc("GET /api/v1/cluster/keys", guard(n.httpKeys))
-	mux.HandleFunc("POST /api/v1/cluster/handover", guard(n.httpHandover))
 	return mux
 }
 
 type httpError struct {
 	Error string `json:"error"`
+}
+
+// decodeBody decodes r's JSON body, capped at service.MaxRequestBody, into
+// v, answering the request with 400 itself on failure.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, service.MaxRequestBody)).Decode(v); err != nil {
+		httpJSON(w, http.StatusBadRequest, httpError{Error: "bad request body: " + err.Error()})
+		return false
+	}
+	return true
 }
 
 func httpJSON(w http.ResponseWriter, status int, v any) {
@@ -126,8 +137,7 @@ func submitStatus(w http.ResponseWriter, st service.Status, err error) {
 // httpSubmit is the client-facing submit, routed cluster-wide.
 func (n *Node) httpSubmit(w http.ResponseWriter, r *http.Request) {
 	var req service.JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpJSON(w, http.StatusBadRequest, httpError{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	cfg, err := req.Config()
@@ -146,8 +156,7 @@ func (n *Node) httpSubmit(w http.ResponseWriter, r *http.Request) {
 // httpClusterSubmit is the owner-side intake for forwarded jobs.
 func (n *Node) httpClusterSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpJSON(w, http.StatusBadRequest, httpError{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	st, err := n.HandleSubmit(req)
@@ -173,9 +182,9 @@ func (n *Node) httpRecord(w http.ResponseWriter, r *http.Request) {
 }
 
 func (n *Node) httpReplicate(w http.ResponseWriter, r *http.Request) {
-	frame, err := io.ReadAll(r.Body)
+	frame, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxRequestBody))
 	if err != nil {
-		httpJSON(w, http.StatusBadRequest, httpError{Error: err.Error()})
+		httpJSON(w, http.StatusBadRequest, httpError{Error: "bad request body: " + err.Error()})
 		return
 	}
 	if err := n.HandleReplicate(frame); err != nil {
@@ -203,8 +212,7 @@ func (n *Node) httpSteal(w http.ResponseWriter, _ *http.Request) {
 
 func (n *Node) httpJoin(w http.ResponseWriter, r *http.Request) {
 	var mem Member
-	if err := json.NewDecoder(r.Body).Decode(&mem); err != nil {
-		httpJSON(w, http.StatusBadRequest, httpError{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &mem) {
 		return
 	}
 	httpJSON(w, http.StatusOK, n.HandleJoin(mem))
@@ -225,21 +233,6 @@ func (n *Node) httpKeys(w http.ResponseWriter, r *http.Request) {
 		keys = []string{}
 	}
 	httpJSON(w, http.StatusOK, keys)
-}
-
-func (n *Node) httpHandover(w http.ResponseWriter, r *http.Request) {
-	var req HandoverRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpJSON(w, http.StatusBadRequest, httpError{Error: "bad request body: " + err.Error()})
-		return
-	}
-	if err := n.HandleHandover(req); err != nil {
-		// The only handler-side failure is the injected lost ack; report it
-		// as unavailability so the sender's breaker and reclaim kick in.
-		httpJSON(w, http.StatusServiceUnavailable, httpError{Error: err.Error()})
-		return
-	}
-	httpJSON(w, http.StatusOK, struct{}{})
 }
 
 // ---------------------------------------------------------------------------
@@ -453,19 +446,6 @@ func (t *HTTPTransport) Keys(ctx context.Context, node string, bucket int) ([]st
 		return nil, err
 	}
 	return keys, nil
-}
-
-func (t *HTTPTransport) Handover(ctx context.Context, node string, req HandoverRequest) error {
-	base, err := t.base(node)
-	if err != nil {
-		return err
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	_, err = t.do(ctx, http.MethodPost, base+"/api/v1/cluster/handover", "application/json", body, nil)
-	return err
 }
 
 // JoinAddr announces mem to the fabric member at baseURL directly — the

@@ -12,13 +12,17 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
+	"repro/internal/figures"
 	"repro/internal/obs"
 	"repro/internal/service"
+	"repro/internal/sim"
 )
 
 // httpNode is one emcserve-shaped process: listener, service, node, server.
@@ -280,6 +284,110 @@ func TestHTTPTransportErrorClassification(t *testing.T) {
 	}
 	if c := a.node.Counters(); c.ReplTorn != 1 {
 		t.Fatalf("torn counter %d, want 1", c.ReplTorn)
+	}
+}
+
+// TestHTTPBodyLimit: every request body the fabric handler reads is capped
+// at service.MaxRequestBody. The test measures the largest EMCR frame a
+// Fig. 12 configuration produces, checks the cap leaves wide headroom over
+// it and that such a frame still seeds a peer, then shows that an oversized
+// body — one the handler would otherwise accept — gets a 4xx on every body-
+// reading endpoint.
+func TestHTTPBodyLimit(t *testing.T) {
+	fault.DisableAll()
+	opts := figures.DefaultOptions()
+	opts.InstrPerCore = 1200
+	opts.Parallel = 2
+	var mu sync.Mutex
+	var bigKey string
+	var bigFrame []byte
+	opts.Runner = func(cfg sim.Config) (*sim.Result, error) {
+		sys, err := sim.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		res, err := sys.Run()
+		if err != nil {
+			return nil, err
+		}
+		key, _ := service.CacheKey(&cfg)
+		frame, err := service.EncodeRecord(key, res)
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		if len(frame) > len(bigFrame) {
+			bigKey, bigFrame = key, frame
+		}
+		mu.Unlock()
+		return res, nil
+	}
+	if _, err := figures.NewSuite(opts).Fig12(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("largest Fig. 12 EMCR frame: %d bytes (cap %d)", len(bigFrame), service.MaxRequestBody)
+	if len(bigFrame)*64 > service.MaxRequestBody {
+		t.Fatalf("cap %d leaves under 64x headroom over a %d-byte Fig. 12 frame", service.MaxRequestBody, len(bigFrame))
+	}
+
+	a := startHTTPNode(t, "a")
+	tr := cluster.NewHTTPTransport(func(string) (string, bool) { return a.url, true })
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := tr.Replicate(ctx, "a", bigFrame); err != nil {
+		t.Fatalf("largest Fig. 12 frame rejected: %v", err)
+	}
+	got, ok := a.node.Service().PeekResult(bigKey)
+	if !ok {
+		t.Fatal("largest Fig. 12 frame did not seed")
+	}
+	if reframe, _ := service.EncodeRecord(bigKey, got); !bytes.Equal(reframe, bigFrame) {
+		t.Fatal("seeded frame re-encodes to different bytes")
+	}
+
+	// Oversized bodies that would pass without the cap: a huge client,
+	// member id, or record key inside otherwise valid requests and frames.
+	huge := strings.Repeat("x", service.MaxRequestBody)
+	hugeFrame, err := service.EncodeRecord(huge, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tinyCfg(1)
+	key, _ := service.CacheKey(&cfg)
+	jobBody, _ := json.Marshal(map[string]any{
+		"client":       huge,
+		"benchmarks":   []string{"mcf", "sphinx3", "soplex", "libquantum"},
+		"instrPerCore": 1000,
+	})
+	submitBody, _ := json.Marshal(cluster.SubmitRequest{Client: huge, Key: key, Cfg: cfg})
+	joinBody, _ := json.Marshal(cluster.Member{ID: huge})
+	for _, c := range []struct {
+		path string
+		body []byte
+	}{
+		{"/api/v1/jobs", jobBody},
+		{"/api/v1/cluster/submit", submitBody},
+		{"/api/v1/cluster/join", joinBody},
+		{"/api/v1/cluster/replicate", hugeFrame},
+	} {
+		resp, err := http.Post(a.url+c.path, "application/octet-stream", bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // draining
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Errorf("POST %s with a %d-byte body: %d, want 4xx", c.path, len(c.body), resp.StatusCode)
+		}
+	}
+	if n := len(a.node.Members()); n != 1 {
+		t.Fatalf("oversized join admitted a member: %d members", n)
+	}
+	if st := a.node.Service().Stats(); st.Submitted != 0 {
+		t.Fatalf("oversized submissions reached the scheduler: %d submitted", st.Submitted)
+	}
+	if _, ok := a.node.Service().PeekResult(huge); ok {
+		t.Fatal("oversized frame seeded the cache")
 	}
 }
 

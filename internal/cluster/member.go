@@ -7,14 +7,10 @@ import (
 )
 
 // Member is one fabric node's identity as exchanged through join: a stable
-// id (the ring hashes it), for HTTP fabrics the advertised base URL, and
-// the node's ring weight (virtual-point multiplier; 0 means the default 1).
-// Weight travels with the member through join gossip so every node builds
-// the same weighted ring.
+// id (the ring hashes it) and, for HTTP fabrics, the advertised base URL.
 type Member struct {
-	ID     string `json:"id"`
-	Addr   string `json:"addr,omitempty"`
-	Weight int    `json:"weight,omitempty"`
+	ID   string `json:"id"`
+	Addr string `json:"addr,omitempty"`
 }
 
 // memberRow is a membership snapshot row (stats and tests).

@@ -14,12 +14,11 @@ import (
 
 // Cluster failpoints (see internal/fault): forward makes one routing RPC
 // fail as unreachable (the partition model, driving re-dispatch);
-// replicate.send drops one peer's replica; replicate.recv tears one byte of
-// a received frame (the CRC check must reject it); fetch fails a peer-fetch
-// attempt; heartbeat skips one probe; steal refuses to hand out a job.
+// replicate.recv tears one byte of an inbound frame (the CRC check must
+// reject it); fetch fails one record fetch (owner, peer, or backfill);
+// heartbeat skips one probe; steal refuses to hand out a job.
 var (
 	fpForward   = fault.Register(fault.SiteClusterForward)
-	fpReplSend  = fault.Register(fault.SiteClusterReplicateSend)
 	fpReplRecv  = fault.Register(fault.SiteClusterReplicateRecv)
 	fpFetch     = fault.Register(fault.SiteClusterFetch)
 	fpHeartbeat = fault.Register(fault.SiteClusterHeartbeat)
@@ -55,16 +54,10 @@ type Options struct {
 	// MaxHops bounds re-dispatch hops across dying owners before the job
 	// falls back to local execution (default 4).
 	MaxHops int
-	// ReplQueue sizes the asynchronous replication queue (default 256;
-	// overflow drops the broadcast — peer fetch covers the gap).
-	ReplQueue int
 	// AntiEntropyInterval is the cadence of the anti-entropy loop: each tick
 	// exchanges digests with one live peer round-robin and backfills missing
 	// durable records (default 30s; negative disables the loop).
 	AntiEntropyInterval time.Duration
-	// Weight is this node's ring weight — the virtual-point multiplier for
-	// heterogeneous fabrics (default 1).
-	Weight int
 	// BreakerThreshold is the consecutive unreachable-failure count that
 	// trips a peer's circuit breaker open (default 5).
 	BreakerThreshold int
@@ -98,14 +91,8 @@ func (o *Options) defaults() {
 	if o.MaxHops <= 0 {
 		o.MaxHops = 4
 	}
-	if o.ReplQueue <= 0 {
-		o.ReplQueue = 256
-	}
 	if o.AntiEntropyInterval == 0 {
 		o.AntiEntropyInterval = 30 * time.Second
-	}
-	if o.Weight <= 0 {
-		o.Weight = 1
 	}
 	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 5
@@ -127,23 +114,20 @@ type Counters struct {
 	Received      uint64 // forwarded jobs accepted as owner
 	Redispatched  uint64 // forwards re-routed after an owner died
 	LocalFallback uint64 // routed jobs that ended up executing here
-	ReplSent      uint64 // replicas delivered to peers
-	ReplRecv      uint64 // replicas accepted (CRC-verified) from peers
-	ReplTorn      uint64 // replicas rejected by CRC verification
-	ReplDropped   uint64 // broadcasts dropped on replication-queue overflow
-	Fetched       uint64 // records fetched from peers
+	ReplSent      uint64 // stolen-job results returned to their victims
+	ReplRecv      uint64 // stolen-job results accepted (CRC-verified) back
+	ReplTorn      uint64 // inbound frames rejected by CRC verification
+	Fetched       uint64 // records fetched from peers for routed jobs
 	FetchServed   uint64 // records served to fetching peers
 	StolenIn      uint64 // jobs stolen from victims and run here
 	StolenOut     uint64 // queued jobs handed out to thieves
 	Reclaimed     uint64 // delegations reclaimed after thief silence
 	Backfilled    uint64 // records backfilled via anti-entropy sync
-	HandedOut     uint64 // queued jobs handed to a joining owner
-	HandedIn      uint64 // queued jobs accepted from previous owners
 	BreakerTrips  uint64 // circuit-breaker opens, summed over peers
 }
 
 // Node is one fabric member: a service.Service plus the routing, steal,
-// replication, and health machinery that makes N of them act as one
+// record-fetch, and health machinery that makes N of them act as one
 // scheduler. The service never learns about the cluster — the node attaches
 // itself through the service's hook surface (service/cluster.go).
 type Node struct {
@@ -164,7 +148,6 @@ type Node struct {
 
 	syncing atomic.Bool // anti-entropy backfill in progress
 
-	replCh   chan []byte
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -177,20 +160,16 @@ type Node struct {
 	replSent      atomic.Uint64
 	replRecv      atomic.Uint64
 	replTorn      atomic.Uint64
-	replDropped   atomic.Uint64
 	fetched       atomic.Uint64
 	fetchServed   atomic.Uint64
 	stolenIn      atomic.Uint64
 	stolenOut     atomic.Uint64
 	reclaimed     atomic.Uint64
 	backfilled    atomic.Uint64
-	handedOut     atomic.Uint64
-	handedIn      atomic.Uint64
 }
 
 // New builds a node around svc. The node installs itself into the service's
-// stats and completion hooks; call SetTransport, AddMember for the known
-// peers, then Start.
+// stats hook; call SetTransport, AddMember for the known peers, then Start.
 func New(svc *service.Service, opts Options) *Node {
 	opts.defaults()
 	n := &Node{
@@ -202,13 +181,11 @@ func New(svc *service.Service, opts Options) *Node {
 		delegated: map[string][]delegation{},
 		health:    map[string]Health{},
 		breakers:  map[string]*breaker{},
-		replCh:    make(chan []byte, opts.ReplQueue),
 		stop:      make(chan struct{}),
 	}
-	n.ring.AddWeighted(n.id, opts.Weight)
+	n.ring.Add(n.id)
 	n.members.upsert(n.selfMember(), true, time.Now())
 	svc.SetClusterStats(n.nodeStats)
-	svc.SetOnDone(n.onLocalDone)
 	return n
 }
 
@@ -222,11 +199,10 @@ func (n *Node) Service() *service.Service { return n.svc }
 // before Start.
 func (n *Node) SetTransport(tr Transport) { n.tr = tr }
 
-// selfMember is this node's identity as announced through joins: id,
-// advertised address, and ring weight (gossip carries the weight so every
-// node builds the same weighted ring).
+// selfMember is this node's identity as announced through joins: id and
+// advertised address.
 func (n *Node) selfMember() Member {
-	return Member{ID: n.id, Addr: n.opts.Addr, Weight: n.opts.Weight}
+	return Member{ID: n.id, Addr: n.opts.Addr}
 }
 
 // AddMember registers a peer on the ring and in the membership table.
@@ -235,9 +211,9 @@ func (n *Node) AddMember(mem Member) { n.admitMember(mem) }
 
 // admitMember is the single funnel every membership source goes through
 // (static config, self-join, gossip). A genuinely new member extends the
-// ring at its announced weight and triggers the join-time handover of
-// queued jobs whose keys the newcomer now owns. Returns true only for new
-// members — the gossip-convergence signal.
+// ring; queued jobs whose keys it now owns stay where they are (work
+// stealing evens out any skew). Returns true only for new members — the
+// gossip-convergence signal.
 func (n *Node) admitMember(mem Member) bool {
 	if mem.ID == "" || mem.ID == n.id {
 		return false
@@ -245,8 +221,7 @@ func (n *Node) admitMember(mem Member) bool {
 	if !n.members.upsert(mem, false, time.Now()) {
 		return false
 	}
-	n.ring.AddWeighted(mem.ID, mem.Weight)
-	n.maybeHandover(mem.ID)
+	n.ring.Add(mem.ID)
 	return true
 }
 
@@ -265,7 +240,7 @@ func (n *Node) JoinVia(ctx context.Context, seed string) error {
 }
 
 // MarkPeerSeen records inbound evidence of a peer's liveness: any
-// successful RPC *from* id (a replica delivered, a forward, a steal) resets
+// successful RPC *from* id (a forward, a fetch, a steal) resets
 // its suspect timer, so a busy-but-healthy peer whose heartbeats are
 // delayed is not marked dead while it is demonstrably doing work. Unknown
 // ids are ignored (membership is join-driven).
@@ -293,28 +268,24 @@ func (n *Node) Counters() Counters {
 		ReplSent:      n.replSent.Load(),
 		ReplRecv:      n.replRecv.Load(),
 		ReplTorn:      n.replTorn.Load(),
-		ReplDropped:   n.replDropped.Load(),
 		Fetched:       n.fetched.Load(),
 		FetchServed:   n.fetchServed.Load(),
 		StolenIn:      n.stolenIn.Load(),
 		StolenOut:     n.stolenOut.Load(),
 		Reclaimed:     n.reclaimed.Load(),
 		Backfilled:    n.backfilled.Load(),
-		HandedOut:     n.handedOut.Load(),
-		HandedIn:      n.handedIn.Load(),
 		BreakerTrips:  n.breakerTrips(),
 	}
 }
 
-// Start launches the heartbeat, replication, and anti-entropy loops.
+// Start launches the heartbeat and anti-entropy loops.
 func (n *Node) Start() {
 	if n.started {
 		return
 	}
 	n.started = true
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go n.heartbeats()
-	go n.replicator()
 	if n.opts.AntiEntropyInterval > 0 {
 		n.wg.Add(1)
 		go n.antiEntropy()
@@ -465,8 +436,8 @@ func (n *Node) viaBreaker(peer string, fn func() error) error {
 // routeJob drives a routed job to a terminal state: forward to the owner,
 // mirror progress and cancellation, fetch the result bytes; when an owner
 // dies, fail over to the next ring owner; as the last resort run locally
-// (after trying a peer fetch — the previous owner may have completed and
-// replicated before dying).
+// (after trying a peer fetch — a peer may already hold the record, e.g. an
+// entry node that routed the same key earlier).
 func (n *Node) routeJob(j *service.Job, owner string) {
 	defer n.wg.Done()
 	if !n.svc.StartRouted(j) {
@@ -527,8 +498,8 @@ func (n *Node) runRemote(j *service.Job, owner string) (done bool, next string) 
 		if !n.sleepInterval() {
 			// Node is closing: fail the waiter rather than hold wg.Wait
 			// hostage to a remote job that may never reach a terminal state.
-			// If the owner does finish later, replication delivers the
-			// record anyway and the duplicate execution is benign.
+			// If the owner does finish later, fetch or anti-entropy delivers
+			// the record anyway and the duplicate execution is benign.
 			n.svc.FinishRouted(j, nil, ErrNodeClosed)
 			return true, ""
 		}
@@ -556,7 +527,7 @@ func (n *Node) runRemote(j *service.Job, owner string) (done bool, next string) 
 func (n *Node) finishRemote(ctx context.Context, j *service.Job, owner string, st service.Status) bool {
 	switch st.State {
 	case service.StateDone:
-		if res, ok := n.fetchRecord(ctx, owner, j.Key()); ok {
+		if res, ok := n.fetchRecord(ctx, owner, j.Key(), &n.fetched); ok {
 			n.svc.FinishRouted(j, res, nil)
 			return true
 		}
@@ -626,55 +597,17 @@ func isUnreachable(err error) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Replication and peer fetch.
+// Record spread: owner fetch, peer fetch, and the inbound-frame guard.
+//
+// Results spread by pull only. An entry node fetches a routed job's record
+// from the owner (finishRemote) or, failing that, from any live peer
+// (fetchFromPeers); anti-entropy pulls whatever else a node lacks. The one
+// push is a thief returning a stolen job's result to its victim
+// (runStolen → HandleReplicate).
 
-// onLocalDone is the service completion hook: a fresh result was computed
-// here; broadcast its durable frame to peers asynchronously. Runs on the
-// worker goroutine, so it only enqueues.
-func (n *Node) onLocalDone(key string, res *sim.Result) {
-	frame, err := service.EncodeRecord(key, res)
-	if err != nil {
-		return
-	}
-	select {
-	case n.replCh <- frame:
-	default:
-		n.replDropped.Add(1) // peer fetch covers the gap
-	}
-}
-
-// replicator drains the broadcast queue.
-func (n *Node) replicator() {
-	defer n.wg.Done()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case frame := <-n.replCh:
-			n.broadcast(frame)
-		}
-	}
-}
-
-// broadcast delivers one durable frame to every live peer.
-func (n *Node) broadcast(frame []byte) {
-	for _, p := range n.members.alivePeers(n.id) {
-		if fpReplSend.Fire() {
-			continue
-		}
-		peer := p.ID
-		err := n.viaBreaker(peer, func() error {
-			return n.tr.Replicate(context.Background(), peer, frame)
-		})
-		if err == nil {
-			n.replSent.Add(1)
-		}
-	}
-}
-
-// fetchRecord pulls the durable frame for key from one peer, CRC-verifies
-// it, and seeds the local cache on success.
-func (n *Node) fetchRecord(ctx context.Context, node, key string) (*sim.Result, bool) {
+// fetchRecord pulls the durable frame for key from one peer and seeds it
+// through acceptFrame; a success is counted in ctr.
+func (n *Node) fetchRecord(ctx context.Context, node, key string, ctr *atomic.Uint64) (*sim.Result, bool) {
 	var frame []byte
 	err := n.viaBreaker(node, func() error {
 		if fpFetch.Fire() {
@@ -687,19 +620,42 @@ func (n *Node) fetchRecord(ctx context.Context, node, key string) (*sim.Result, 
 	if err != nil {
 		return nil, false
 	}
-	k, res, err := service.DecodeRecord(frame)
-	if err != nil || k != key {
+	_, res, err := n.acceptFrame(frame, key)
+	if err != nil {
 		return nil, false
 	}
-	n.fetched.Add(1)
-	n.svc.SeedResult(key, res)
+	ctr.Add(1)
 	return res, true
+}
+
+// acceptFrame is the single decode-and-seed step every inbound frame passes
+// — fetched, backfilled, and stolen-job returns alike: CRC-verify, check
+// the key against want (empty accepts any), then seed the local cache
+// (write-through to disk when configured). Torn frames are rejected and
+// counted, so a corrupt byte can never reach the cache.
+func (n *Node) acceptFrame(frame []byte, want string) (string, *sim.Result, error) {
+	if len(frame) > 0 && fpReplRecv.Fire() {
+		// Tear the copy mid-frame; the verification below must reject it.
+		torn := append([]byte(nil), frame...)
+		torn[len(torn)/2] ^= 0xFF
+		frame = torn
+	}
+	key, res, err := service.DecodeRecord(frame)
+	if err != nil {
+		n.replTorn.Add(1)
+		return "", nil, fmt.Errorf("cluster: replica rejected: %w", err)
+	}
+	if want != "" && key != want {
+		return "", nil, fmt.Errorf("cluster: record for %q answered a fetch for %q", key, want)
+	}
+	n.svc.SeedResult(key, res)
+	return key, res, nil
 }
 
 // fetchFromPeers tries every live peer in id order.
 func (n *Node) fetchFromPeers(key string) (*sim.Result, bool) {
 	for _, p := range n.members.alivePeers(n.id) {
-		if res, ok := n.fetchRecord(context.Background(), p.ID, key); ok {
+		if res, ok := n.fetchRecord(context.Background(), p.ID, key, &n.fetched); ok {
 			return res, true
 		}
 	}
@@ -752,24 +708,15 @@ func (n *Node) HandleFetch(key string) ([]byte, error) {
 	return frame, nil
 }
 
-// HandleReplicate applies a replicated durable frame: CRC-verify, seed the
-// local cache (write-through to disk when configured), and complete any
-// delegated jobs waiting on the key. Torn frames are rejected and counted —
-// a corrupt byte can never reach the cache.
+// HandleReplicate applies a stolen job's result returned by its thief:
+// accept the frame (CRC-verify and seed) and complete any delegated jobs
+// waiting on the key.
 func (n *Node) HandleReplicate(frame []byte) error {
-	if len(frame) > 0 && fpReplRecv.Fire() {
-		// Tear the copy mid-frame; the verification below must reject it.
-		torn := append([]byte(nil), frame...)
-		torn[len(torn)/2] ^= 0xFF
-		frame = torn
-	}
-	key, res, err := service.DecodeRecord(frame)
+	key, res, err := n.acceptFrame(frame, "")
 	if err != nil {
-		n.replTorn.Add(1)
-		return fmt.Errorf("cluster: replica rejected: %w", err)
+		return err
 	}
 	n.replRecv.Add(1)
-	n.svc.SeedResult(key, res)
 	n.completeDelegated(key, res)
 	return nil
 }
@@ -784,7 +731,7 @@ func (n *Node) HandlePing() Health {
 }
 
 // HandleSteal hands one queued job to a thief, arming the reclaim timer: if
-// neither a replica nor a reclaim completes the job within
+// neither the thief's returned result nor a reclaim completes the job within
 // DelegationTimeout, the victim re-executes it locally (determinism makes a
 // thief that finished late a benign duplicate).
 func (n *Node) HandleSteal() (*StolenJob, error) {
@@ -949,8 +896,8 @@ func (n *Node) maybeSteal() {
 }
 
 // runStolen executes one stolen job and delivers the result straight back
-// to the victim (the broadcast replication would also get there, but the
-// direct send beats the victim's delegation timeout deterministically).
+// to the victim, which completes its delegation on receipt; if the return
+// is lost, the victim reclaims on its delegation timeout.
 func (n *Node) runStolen(victim string, sj *StolenJob) {
 	defer n.wg.Done()
 	n.stolenIn.Add(1)
@@ -986,8 +933,6 @@ func (n *Node) nodeStats(local *service.Stats) []service.NodeStat {
 		ReplTorn:     n.replTorn.Load(),
 		Fetched:      n.fetched.Load(),
 		Backfilled:   n.backfilled.Load(),
-		HandedOut:    n.handedOut.Load(),
-		HandedIn:     n.handedIn.Load(),
 		BreakerTrips: n.breakerTrips(),
 	}}
 	now := time.Now()

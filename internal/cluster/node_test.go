@@ -1,5 +1,5 @@
 // Fabric unit tests: routing, cluster-wide coalescing, failover, stealing,
-// replication, and membership — all over the in-process LocalTransport.
+// record fetch and the torn-frame guard, and membership — all over the in-process LocalTransport.
 // Failpoints are process-global, so no t.Parallel anywhere in this package.
 package cluster_test
 
@@ -313,9 +313,9 @@ func TestWorkStealing(t *testing.T) {
 	}
 }
 
-// TestTornReplicaRejected: a replica corrupted in flight must be rejected by
-// the CRC check, counted, and kept out of the cache; the retransmit seeds
-// cleanly.
+// TestTornReplicaRejected: a returned frame corrupted in flight must be
+// rejected by the CRC check, counted, and kept out of the cache; the
+// retransmit seeds cleanly.
 func TestTornReplicaRejected(t *testing.T) {
 	fault.DisableAll()
 	t.Cleanup(fault.DisableAll)
@@ -362,9 +362,11 @@ func TestTornReplicaRejected(t *testing.T) {
 	}
 }
 
-// TestReplicationSeedsPeers: a fresh local result broadcasts to every peer,
-// so later duplicate submissions anywhere are cache hits with no forward.
-func TestReplicationSeedsPeers(t *testing.T) {
+// TestNonOwnerDuplicateServedFromOwnerCache: a duplicate submitted at a
+// non-owner after the owner computed the key is forwarded once and served
+// from the owner's cache; FinishRouted's write-through then makes a third
+// submission at that node a local cache hit with no new forward.
+func TestNonOwnerDuplicateServedFromOwnerCache(t *testing.T) {
 	fault.DisableAll()
 	f := newFabric(t, 3, nil)
 	cfg := cfgOwnedBy(t, 3, 0)
@@ -377,32 +379,36 @@ func TestReplicationSeedsPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
 	for _, i := range []int{1, 2} {
-		for {
-			if peer, ok := f.Nodes[i].Service().PeekResult(key); ok {
-				if peer.Hash() != res.Hash() {
-					t.Fatalf("node%d replica hash %#x != original %#x", i, peer.Hash(), res.Hash())
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("replica never reached node%d", i)
-			}
-			time.Sleep(2 * time.Millisecond)
+		dup, err := f.Nodes[i].Run(ctx, "t", cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if dup.Hash() != res.Hash() {
+			t.Fatalf("node%d duplicate hash %#x != original %#x", i, dup.Hash(), res.Hash())
+		}
+		if c := f.Nodes[i].Counters(); c.Forwarded != 1 {
+			t.Fatalf("node%d duplicate forwarded %d times, want 1 (%+v)", i, c.Forwarded, c)
+		}
+		peer, ok := f.Nodes[i].Service().PeekResult(key)
+		if !ok {
+			t.Fatalf("served duplicate did not seed node%d's cache", i)
+		}
+		if peer.Hash() != res.Hash() {
+			t.Fatalf("node%d cached hash %#x != original %#x", i, peer.Hash(), res.Hash())
+		}
 
-	// Duplicate submission at a non-owner is now a pure local cache hit.
-	j, err := f.Nodes[1].Submit("t", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if c := f.Nodes[1].Counters(); c.Forwarded != 0 {
-		t.Fatalf("replicated key still forwarded (%+v)", c)
+		// A third submission at the same non-owner is a pure local cache hit.
+		j, err := f.Nodes[i].Submit("t", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if c := f.Nodes[i].Counters(); c.Forwarded != 1 {
+			t.Fatalf("node%d cached key still forwarded (%+v)", i, c)
+		}
 	}
 	if got := sumExecuted(f); got != 1 {
 		t.Fatalf("%d executions, want 1", got)

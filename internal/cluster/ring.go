@@ -2,10 +2,11 @@
 // into one sweep fabric: a consistent-hash ring assigns every cache key a
 // single owning node, so duplicate submissions serialize behind their first
 // run cluster-wide regardless of which node receives them; completed
-// results replicate to peers as the same CRC-framed EMCR records the
-// durable cache writes to disk; idle nodes steal queued work from skewed
-// ones; and heartbeats promote the hung-job watchdog to node granularity,
-// with deterministic re-dispatch of jobs owned by a dead node.
+// results spread by pull — owner fetch, peer fetch, and anti-entropy — as
+// the same CRC-framed EMCR records the durable cache writes to disk; idle
+// nodes steal queued work from skewed ones; and heartbeats promote the
+// hung-job watchdog to node granularity, with deterministic re-dispatch of
+// jobs owned by a dead node.
 //
 // Determinism is the load-bearing wall throughout (DESIGN.md §15): a key's
 // result is a pure function of the key, so a split-brain double execution
@@ -21,16 +22,15 @@ import (
 )
 
 // Ring is the consistent-hash ring: each node contributes `replicas`
-// virtual points per unit of weight (FNV-64a of "id#i"), a key belongs to
-// the first point at or clockwise after its own hash. Ownership is a pure
-// function of the member set (ids and weights) and the liveness predicate,
-// so every node that agrees on those agrees on the owner — no coordination
-// round needed.
+// virtual points (FNV-64a of "id#i"), a key belongs to the first point at
+// or clockwise after its own hash. Ownership is a pure function of the
+// member set and the liveness predicate, so every node that agrees on
+// those agrees on the owner — no coordination round needed.
 type Ring struct {
 	mu       sync.RWMutex
 	replicas int
 	points   []ringPoint
-	nodes    map[string]int // id -> weight
+	nodes    map[string]bool
 }
 
 type ringPoint struct {
@@ -44,29 +44,19 @@ func NewRing(replicas int) *Ring {
 	if replicas <= 0 {
 		replicas = 64
 	}
-	return &Ring{replicas: replicas, nodes: map[string]int{}}
+	return &Ring{replicas: replicas, nodes: map[string]bool{}}
 }
 
-// Add inserts a node's virtual points at weight 1. Idempotent.
-func (r *Ring) Add(node string) { r.AddWeighted(node, 1) }
-
-// AddWeighted inserts a node with `weight × replicas` virtual points, so a
-// weight-3 node owns ~3× the keyspace of a weight-1 node (heterogeneous
-// fabrics: weight by core count). Weight <= 0 selects 1. Idempotent per id;
-// the first weight a node is learned with wins — a re-announce with a
-// different weight is ignored, because silently resizing a live member's
-// share would shift ownership mid-flight on some nodes before others.
-func (r *Ring) AddWeighted(node string, weight int) {
-	if weight <= 0 {
-		weight = 1
-	}
+// Add inserts a node's `replicas` virtual points "id#0".."id#replicas-1".
+// Idempotent.
+func (r *Ring) Add(node string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.nodes[node] != 0 {
+	if r.nodes[node] {
 		return
 	}
-	r.nodes[node] = weight
-	for i := 0; i < r.replicas*weight; i++ {
+	r.nodes[node] = true
+	for i := 0; i < r.replicas; i++ {
 		r.points = append(r.points, ringPoint{hash: ringHash(fmt.Sprintf("%s#%d", node, i)), node: node})
 	}
 	sort.Slice(r.points, func(i, j int) bool {

@@ -109,3 +109,64 @@ func TestRingAddIdempotent(t *testing.T) {
 		t.Fatalf("ring has %d members, want 2", got)
 	}
 }
+
+// TestRingOwnershipGolden pins the ownership function: any change to the
+// hash or the point layout shows up as a diff against this table — the
+// cross-node agreement contract, frozen (FNV-64a is platform-stable).
+func TestRingOwnershipGolden(t *testing.T) {
+	r := cluster.NewRing(0)
+	for _, id := range []string{"alpha", "beta", "gamma"} {
+		r.Add(id)
+	}
+	golden := []struct{ key, owner string }{
+		{"emcr/mcf/seed1", "alpha"},
+		{"emcr/mcf/seed42", "alpha"},
+		{"emcr/sphinx3/seed1", "gamma"},
+		{"emcr/sphinx3/seed42", "beta"},
+		{"emcr/soplex/seed1", "alpha"},
+		{"emcr/soplex/seed42", "beta"},
+		{"emcr/libquantum/seed1", "gamma"},
+		{"emcr/libquantum/seed42", "gamma"},
+		{"emcr/omnetpp/seed1", "alpha"},
+		{"emcr/omnetpp/seed42", "beta"},
+		{"emcr/milc/seed1", "gamma"},
+		{"emcr/milc/seed42", "gamma"},
+		{"emcr/gcc/seed1", "alpha"},
+		{"emcr/gcc/seed42", "beta"},
+		{"emcr/lbm/seed1", "beta"},
+		{"emcr/lbm/seed42", "beta"},
+	}
+	for _, g := range golden {
+		if got := r.Owner(g.key, nil); got != g.owner {
+			t.Errorf("Owner(%q) = %q, want %q", g.key, got, g.owner)
+		}
+	}
+}
+
+// TestRingJoinMinimalChurn: adding a member moves a key only when the new
+// member becomes its owner — consistent hashing's no-gratuitous-churn
+// property: a join never reshuffles keys between survivors, so their
+// queued work and cached results stay with the keys' owners.
+func TestRingJoinMinimalChurn(t *testing.T) {
+	before := cluster.NewRing(0)
+	after := cluster.NewRing(0)
+	for _, id := range []string{"node0", "node1"} {
+		before.Add(id)
+		after.Add(id)
+	}
+	after.Add("node2")
+	moved := 0
+	for i := 0; i < 1000; i++ {
+		key := fmt.Sprintf("jkey/%d/%d", i, i*31337)
+		ob, oa := before.Owner(key, nil), after.Owner(key, nil)
+		if oa != ob {
+			if oa != "node2" {
+				t.Fatalf("key %q churned %q -> %q without involving the joiner", key, ob, oa)
+			}
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("joiner took no keys — insert is broken")
+	}
+}

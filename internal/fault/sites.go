@@ -42,15 +42,14 @@ const (
 	// as the owner being unreachable, driving the re-dispatch path — the
 	// fabric's partition model.
 	SiteClusterForward = "cluster/forward"
-	// SiteClusterReplicateSend fires before replicating a fresh result to one
-	// peer (the replica for that peer is dropped; peer fetch or re-compute
-	// must cover).
-	SiteClusterReplicateSend = "cluster/replicate.send"
-	// SiteClusterReplicateRecv fires while applying a received replica; a
-	// firing tears one byte of the frame, which the CRC check must reject.
+	// SiteClusterReplicateRecv fires in the single decode-and-seed step every
+	// inbound record frame passes (fetched, backfilled, or a stolen job's
+	// returned result); a firing tears one byte of the frame, which the CRC
+	// check must reject.
 	SiteClusterReplicateRecv = "cluster/replicate.recv"
-	// SiteClusterFetch fires on the peer-fetch read path (fetching a durable
-	// record from a peer instead of recomputing).
+	// SiteClusterFetch fires on every record fetch from a peer — owner
+	// fetch, peer fetch, and anti-entropy backfill — failing it as
+	// unreachable.
 	SiteClusterFetch = "cluster/fetch"
 	// SiteClusterHeartbeat fires in the heartbeat loop, skipping that round's
 	// probe of one peer — heartbeat loss without a real partition.
@@ -63,13 +62,4 @@ const (
 	// exchange: the round's digest RPC fails as unreachable, so the node
 	// skips that peer this round and converges on a later one.
 	SiteClusterAntiEntropyDigest = "cluster/antientropy.digest"
-	// SiteClusterAntiEntropyFetch fires on an anti-entropy backfill fetch:
-	// one missing record is not retrieved this round (a later round, or
-	// ordinary replication, must cover it).
-	SiteClusterAntiEntropyFetch = "cluster/antientropy.fetch"
-	// SiteClusterHandoverAck fires on the receiver side of a join-time
-	// queue handover after the jobs were accepted, modelling a lost ack:
-	// the previous owner reclaims and re-executes locally, and determinism
-	// makes the resulting double execution benign.
-	SiteClusterHandoverAck = "cluster/handover.ack"
 )

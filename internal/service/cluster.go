@@ -4,7 +4,7 @@ package service
 // internal/cluster fabric layer needs to route jobs across nodes without
 // reaching into scheduler internals. The service stays oblivious to
 // membership and transports — the cluster package composes these hooks into
-// the consistent-hash dispatch, replication, and steal protocols
+// the consistent-hash dispatch, record-fetch, and steal protocols
 // (DESIGN.md §15).
 
 import (
@@ -16,7 +16,7 @@ import (
 
 // ErrRecordCorrupt is the exported alias of the durable-record validation
 // error: DecodeRecord wraps every structural failure (bad magic, length
-// mismatch, CRC, truncated JSON) in it, so a replication receiver can treat
+// mismatch, CRC, truncated JSON) in it, so a fabric receiver can treat
 // "torn frame" as one condition.
 var ErrRecordCorrupt = errDurableCorrupt
 
@@ -29,8 +29,8 @@ func CacheKey(cfg *sim.Config) (key string, cacheable bool) {
 }
 
 // EncodeRecord frames a completed result as a durable EMCR record — the
-// exact byte format the on-disk cache uses, reused verbatim as the
-// replication and peer-fetch wire format (a record is valid anywhere).
+// exact byte format the on-disk cache uses, reused verbatim as the fabric's
+// wire format for fetched and returned records (a record is valid anywhere).
 func EncodeRecord(key string, res *sim.Result) ([]byte, error) {
 	return encodeDurableRecord(&durableRecord{Key: key, Result: res})
 }
@@ -52,10 +52,10 @@ func (s *Service) PeekResult(key string) (*sim.Result, bool) {
 	return s.cache.peek(key)
 }
 
-// SeedResult installs a replicated result into the cache, writing through to
-// the durable store when one is attached. Results are content-addressed and
-// immutable, so overwriting an existing entry with a replica is benign (the
-// bytes are identical by determinism).
+// SeedResult installs a result computed on another node into the cache,
+// writing through to the durable store when one is attached. Results are
+// content-addressed and immutable, so overwriting an existing entry is
+// benign (the bytes are identical by determinism).
 func (s *Service) SeedResult(key string, res *sim.Result) {
 	s.cache.put(key, res)
 }
@@ -72,19 +72,6 @@ func (s *Service) QueueDepth() int {
 // node's durable record set without touching disk.
 func (s *Service) ResultKeys() []string {
 	return s.cache.keys()
-}
-
-// SetOnDone installs the completion hook: fn is called from the worker
-// goroutine after an actual simulation completes and its result is cached
-// (cache hits and replica seeds do not fire it). The cluster layer uses it
-// to replicate fresh results to peers; fn must be quick (enqueue, not send).
-// Install before the first submission; a nil fn clears the hook.
-func (s *Service) SetOnDone(fn func(key string, res *sim.Result)) {
-	if fn == nil {
-		s.onDone.Store(nil)
-		return
-	}
-	s.onDone.Store(&fn)
 }
 
 // SetClusterStats installs the per-node stats hook: Stats() calls fn with
@@ -176,7 +163,7 @@ func (s *Service) FinishRouted(j *Job, res *sim.Result, err error) {
 
 // TakeQueued removes one queued job for delegation to a thief node, scanning
 // shards deepest-first. Jobs that must not leave the node (uncacheable — no
-// canonical identity to replicate under — or already cancel-requested) are
+// canonical identity to return a result under — or already cancel-requested) are
 // not delegated; they are executed locally on a fresh goroutine instead, and
 // the scan continues. ok=false means nothing stealable is queued.
 func (s *Service) TakeQueued() (j *Job, ok bool) {
@@ -205,32 +192,10 @@ func (s *Service) TakeQueued() (j *Job, ok bool) {
 	}
 }
 
-// TakeQueuedFor removes every queued job whose key the predicate accepts —
-// the join-time handover donor path (the jobs' keys now belong to a fresh
-// ring member). Uncacheable and cancel-requested jobs never leave the node;
-// the predicate only sees cacheable live keys. The returned jobs are in the
-// deterministic order the fair queues would have served them, shard by
-// shard, and remain registered in the job table and inflight map so
-// coalescing and status polls keep working while they are delegated.
-func (s *Service) TakeQueuedFor(pred func(key string) bool) []*Job {
-	var out []*Job
-	for _, q := range s.queues {
-		taken := q.takeMatching(func(j *Job) bool {
-			return j.cacheable && !j.cancelRequested() && pred(j.key)
-		})
-		out = append(out, taken...)
-	}
-	if len(out) > 0 {
-		s.queued.Add(-int64(len(out)))
-		s.publish()
-	}
-	return out
-}
-
 // FinishStolen completes a job previously handed out by TakeQueued with the
-// result the thief computed (or that arrived through replication first).
-// Cancellation that raced in while the job was delegated wins: the job
-// finalizes cancelled and the result is discarded (it is already cached).
+// result the thief returned. Cancellation that raced in while the job was
+// delegated wins: the job finalizes cancelled and the result is discarded
+// (it is already cached).
 func (s *Service) FinishStolen(j *Job, res *sim.Result) {
 	if !j.beginRunning() {
 		s.finishJob(j, StateCancelled, nil, sim.ErrCancelled)
@@ -278,8 +243,6 @@ type NodeStat struct {
 	ReplTorn     uint64 `json:"replTorn,omitempty"`
 	Fetched      uint64 `json:"fetched,omitempty"`
 	Backfilled   uint64 `json:"backfilled,omitempty"`
-	HandedOut    uint64 `json:"handedOut,omitempty"`
-	HandedIn     uint64 `json:"handedIn,omitempty"`
 	BreakerTrips uint64 `json:"breakerTrips,omitempty"`
 
 	// HeartbeatAgeMS is the age of the last successful heartbeat (peer rows;

@@ -113,9 +113,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // client gone is the only failure here
 }
 
+// MaxRequestBody caps every HTTP request body the service and the fabric
+// handler read: job and forwarded-job JSON, join announcements, and EMCR
+// frames. The largest EMCR frame a Fig. 12 configuration produces is ~6 KB,
+// so 1 MiB leaves two orders of magnitude of headroom while keeping an
+// unauthenticated client from making a node buffer an unbounded body.
+const MaxRequestBody = 1 << 20
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody)).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad request body: " + err.Error()})
 		return
 	}

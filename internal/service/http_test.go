@@ -158,6 +158,13 @@ func TestHTTPValidation(t *testing.T) {
 		t.Fatalf("bad prefetcher: want 400, got %d", resp.StatusCode)
 	}
 
+	huge := tinyReq(1)
+	huge.Client = strings.Repeat("x", MaxRequestBody)
+	_, resp = submitReq(t, ts, huge)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("body over MaxRequestBody: want 400, got %d", resp.StatusCode)
+	}
+
 	if resp := getJSON(t, ts.URL+"/api/v1/jobs/nope", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: want 404, got %d", resp.StatusCode)
 	}

@@ -3,7 +3,8 @@
 # (make heal-smoke).
 #
 # Boots a token-authenticated 3-node fabric where node c joins mid-sweep
-# (join-time ring handover), SIGKILLs c mid-flight of a second sweep, then
+# (the ring grows; queued work stays put), SIGKILLs c mid-flight of a
+# second sweep, then
 # restarts it over its original durable cache directory and verifies the
 # self-healing contract end to end:
 #   1. every job from both sweeps completes on the survivors with
@@ -89,7 +90,8 @@ wait_members "$srv_a" 2
 echo "2-node authenticated fabric: ok"
 
 # Sweep 1 fired at node a without waiting; node c joins while it is in
-# flight, so queued work whose keys c now owns hands over to the joiner.
+# flight, so the ring changes under queued work (which stays on a, or is
+# stolen by an idle peer).
 for seed in 31 32 33; do
     "$dir/emcctl" -server "$srv_a" submit \
         -bench mcf,mcf,mcf,mcf -n 50000 -seed "$seed" -emc >/dev/null
