@@ -143,9 +143,14 @@ func (s *System) mcComplete(mc *mcNode, dr *dram.Request) {
 	if len(p.reqs) > 0 || (dr.Prefetch && len(p.emcReqs) == 0 && len(p.cross) == 0) {
 		var lead *memReq
 		if len(p.reqs) > 0 {
+			// The lead carries this entry's reference on as the fill; the
+			// others' fills come through their slice outstanding entries.
 			lead = p.reqs[0]
-			for _, r := range p.reqs {
+			for i, r := range p.reqs {
 				stamp(r)
+				if i > 0 {
+					s.freeReq(r)
+				}
 			}
 		} else {
 			lead = s.allocReq()
