@@ -12,6 +12,7 @@ package cpu
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/bpred"
 	"repro/internal/isa"
@@ -153,13 +154,12 @@ type robEntry struct {
 	consumers []int32 // rob slots waiting on this entry's result
 
 	// Memory state.
-	vaddr      uint64
-	paddr      uint64
-	addrValid  bool
-	isLLCMiss  bool
-	forwarded  bool
-	memBlocked bool // parked in the LSQ retry list
-	l1Counted  bool // this load already counted as an L1D miss (retries)
+	vaddr     uint64
+	paddr     uint64
+	addrValid bool
+	isLLCMiss bool
+	forwarded bool
+	l1Counted bool // this load already counted as an L1D miss (retries)
 
 	// blockStore memoizes the unresolved older store (ROB slot + dispatch
 	// seq) that parked this load, so retries skip the store-queue scan while
@@ -272,9 +272,17 @@ type Core struct {
 	// evMask mirrors events occupancy: bit b of evMask[b/64] is set iff
 	// events[b] is non-empty, so NextEvent finds the earliest completion
 	// with a handful of TrailingZeros64 probes instead of a 255-bucket scan.
-	evMask [eventHorizon / 64]uint64
+	evMask    [eventHorizon / 64]uint64
 	lq, sq    []int32 // rob slots of in-flight loads/stores, program order
 	blockedLd []int32 // loads waiting on LSQ conditions or MSHR space
+	// parkDirty is false while blockedLd is a fixed point of the issue
+	// stage: distinct loads, each parked on an older store that is still
+	// unresolved, none of them also in readyQ. Such a list stays parked
+	// through the tick and issue() settles its shared fate in O(1) (DESIGN.md
+	// §13.4). Anything that may break the property sets the mark; the next
+	// retry sweep then re-queues the list load by load and clears it.
+	parkDirty bool
+	parkSpare []int32 // second blockedLd buffer, swapped in while a list is held
 
 	storeBuf  []storeWrite
 	storeHead int // consumed prefix of storeBuf (head-index pop)
@@ -557,45 +565,87 @@ func (c *Core) maybeWake(idx int32) {
 // ---- Issue -------------------------------------------------------------------
 
 func (c *Core) issue() {
+	// A clean parked list (see parkDirty) is not re-queued. The retry sweep
+	// would append it at the queue's tail, and none of its loads can issue,
+	// so the scan would treat them all alike: re-park every one, in order,
+	// if it reaches them with a memory port free, or leave them all queued.
+	// That shared fate is settled once, after the rest of the queue; parks
+	// made meanwhile go to the spare buffer.
+	held := c.blockedLd
+	if len(held) > 0 {
+		c.blockedLd = c.parkSpare[:0]
+	}
 	// Single compaction pass: entries that stay (mem-port-limited) are kept
 	// in order at the write cursor; issued, parked, and stale entries drop
 	// out. Scan order and the surviving queue order match the remove-in-place
 	// formulation exactly, without its O(n^2) element moves.
 	issued, memIssued := 0, 0
 	i, w := 0, 0
-	for i < len(c.readyQ) && issued < c.cfg.IssueWidth {
-		idx := c.readyQ[i]
-		i++
-		if c.st[idx] != stReady || c.remote[idx] {
-			// Stale, or shipped to the EMC (completion arrives as a live-out).
-			continue
-		}
-		op := c.ops[idx]
-		isMem := op == isa.OpLoad || op == isa.OpStore
-		if isMem && memIssued >= c.cfg.MemPorts {
-			c.readyQ[w] = idx
-			w++
-			continue
-		}
-		if bs := c.blockStore[idx]; bs >= 0 {
-			// Load still blocked on the same unresolved older store: the
-			// issueOne attempt would park it again with no net state change
-			// (issuedAt and recomputed taint fields are unobservable until a
-			// successful issue), so re-park directly. rsCount is untouched —
-			// the attempt's decrement/increment pair cancels.
-			if c.seq[bs] == c.blockSeq[idx] && c.storeUnresolved(bs) {
-				c.memBlocked[idx] = true
-				c.blockedLd = append(c.blockedLd, idx)
+	dup := false
+	for {
+		for i < len(c.readyQ) && issued < c.cfg.IssueWidth {
+			idx := c.readyQ[i]
+			i++
+			if c.st[idx] != stReady || c.remote[idx] {
+				// Stale, or shipped to the EMC (completion arrives as a live-out).
 				continue
 			}
-			c.blockStore[idx] = -1
-		}
-		if c.issueOne(idx) {
-			issued++
-			if isMem {
-				memIssued++
+			if c.memBlocked[idx] {
+				// Queued while also parked: a duplicate entry (left by a chain
+				// abort), which the next retry sweep folds back into one.
+				dup = true
+				c.parkDirty = true
+			}
+			op := c.ops[idx]
+			isMem := op == isa.OpLoad || op == isa.OpStore
+			if isMem && memIssued >= c.cfg.MemPorts {
+				c.readyQ[w] = idx
+				w++
+				continue
+			}
+			if bs := c.blockStore[idx]; bs >= 0 {
+				// Load still blocked on the same unresolved older store: the
+				// issueOne attempt would park it again with no net state change
+				// (issuedAt and recomputed taint fields are unobservable until a
+				// successful issue), so re-park directly. rsCount is untouched —
+				// the attempt's decrement/increment pair cancels.
+				if c.seq[bs] == c.blockSeq[idx] && c.storeUnresolved(bs) {
+					c.memBlocked[idx] = true
+					c.blockedLd = append(c.blockedLd, idx)
+					continue
+				}
+				c.blockStore[idx] = -1
+			}
+			if c.issueOne(idx) {
+				issued++
+				if isMem {
+					memIssued++
+				}
 			}
 		}
+		if len(held) == 0 {
+			break
+		}
+		if !c.parkDirty && i == len(c.readyQ) && issued < c.cfg.IssueWidth && memIssued < c.cfg.MemPorts {
+			// Every held load re-parks, behind this scan's new parks.
+			if len(c.blockedLd) == 0 {
+				c.blockedLd, c.parkSpare = held, c.blockedLd
+			} else {
+				c.blockedLd = append(c.blockedLd, held...)
+				c.parkSpare = held[:0]
+			}
+			break
+		}
+		// Out of ports or width (the held loads stay queued), or the scan
+		// may have changed their fate (a store resolved, a duplicate was
+		// reached): queue them as the retry sweep would have, its memBlocked
+		// reset included, and run them through the per-entry loop above.
+		for _, idx := range held {
+			c.memBlocked[idx] = dup && slices.Contains(c.blockedLd, idx)
+			c.readyQ = append(c.readyQ, idx)
+		}
+		c.parkSpare = held[:0]
+		held = nil
 	}
 	for i < len(c.readyQ) {
 		c.readyQ[w] = c.readyQ[i]
@@ -632,7 +682,7 @@ func (c *Core) issueOne(idx int32) bool {
 		e.val = e.srcVal[1]
 		c.schedule(idx, c.now+1+uint64(tlbLat))
 		c.checkLateDisambiguation(idx)
-		c.unblockLoadsFor()
+		c.parkDirty = true // loads parked on this store may now issue
 		return true
 	case isa.ClassBranch:
 		c.schedule(idx, c.now+1)
@@ -901,18 +951,20 @@ func (c *Core) NextEvent(now uint64) uint64 {
 	if len(c.storeBuf) > c.storeHead || len(c.readyQ) > 0 || len(c.conflicted) > 0 {
 		return now + 1
 	}
-	// Parked loads churn through the retry sweep every cycle, but while each
-	// one is still blocked on the same unresolved older store the sweep is a
-	// fixed point: blockedLd -> readyQ -> blockedLd in identical order with no
-	// counter or architectural change, so those cycles are skippable. The
-	// blocking store resolves only through an event this function already
-	// accounts for (a wheel completion waking it, or an external fill/ring
-	// message that wakes the whole system). Loads parked for any other reason
-	// (MSHR pressure) keep forcing per-cycle ticking.
-	for _, idx := range c.blockedLd {
-		bs := c.blockStore[idx]
-		if bs < 0 || c.seq[bs] != c.blockSeq[idx] || !c.storeUnresolved(bs) {
-			return now + 1
+	// While each parked load is still blocked on the same unresolved older
+	// store, the issue stage leaves the parked list as it is, with no counter
+	// or architectural change, so those cycles are skippable. The blocking
+	// store resolves only through an event this function already accounts
+	// for (a wheel completion waking it, or an external fill/ring message
+	// that wakes the whole system). Loads parked for any other reason (MSHR
+	// pressure) keep forcing per-cycle ticking. A clean list (parkDirty
+	// false) holds only store-blocked loads, so only a dirty one is checked.
+	if c.parkDirty {
+		for _, idx := range c.blockedLd {
+			bs := c.blockStore[idx]
+			if bs < 0 || c.seq[bs] != c.blockSeq[idx] || !c.storeUnresolved(bs) {
+				return now + 1
+			}
 		}
 	}
 	if c.robCount > 0 && c.st[c.robHead] == stDone {

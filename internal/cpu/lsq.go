@@ -13,19 +13,6 @@ func (c *Core) issueLoad(idx int32) bool {
 	e := c.slot(idx)
 	e.vaddr = isa.AddrOf(&e.u, e.srcVal[0])
 
-	// Fast retry path: if a previous attempt parked on an unresolved older
-	// store and that same store (slot+seq) is still unresolved, the scan
-	// below would stop at it again — park without rescanning. The skipped
-	// prefix only reads resolved older stores (no side effects), and stores
-	// never become unresolved again, so outcomes are identical.
-	if bs := c.blockStore[idx]; bs >= 0 {
-		if c.seq[bs] == c.blockSeq[idx] && c.storeUnresolved(bs) {
-			c.parkLoad(idx)
-			return false
-		}
-		c.blockStore[idx] = -1
-	}
-
 	// Memory ordering: scan older stores. An older store with an unresolved
 	// address blocks the load (conservative disambiguation); a resolved
 	// older store to the same dword forwards its data.
@@ -73,6 +60,7 @@ func (c *Core) issueLoad(idx int32) bool {
 	line := cache.LineAddr(paddr)
 	m, merged, ok := c.msh.Allocate(line, c.now)
 	if !ok {
+		c.parkDirty = true // an MSHR-parked load retries every cycle
 		c.parkLoad(idx)
 		return false
 	}
@@ -145,7 +133,7 @@ func (c *Core) storeUnresolved(sIdx int32) bool {
 }
 
 // parkLoad returns a load to the blocked list; it re-enters the ready queue
-// on the next retry sweep.
+// on the next retry sweep that finds the list dirty (see Core.parkDirty).
 func (c *Core) parkLoad(idx int32) {
 	c.st[idx] = stReady
 	c.memBlocked[idx] = true
@@ -153,11 +141,14 @@ func (c *Core) parkLoad(idx int32) {
 	c.blockedLd = append(c.blockedLd, idx)
 }
 
-// retryBlockedLoads re-queues parked loads for issue.
+// retryBlockedLoads re-queues a dirty parked list for issue, load by load,
+// and marks the emptied list clean. A clean list stays parked; issue()
+// settles it.
 func (c *Core) retryBlockedLoads() {
-	if len(c.blockedLd) == 0 {
+	if !c.parkDirty {
 		return
 	}
+	c.parkDirty = false
 	list := c.blockedLd
 	c.blockedLd = c.blockedLd[:0]
 	for _, idx := range list {
@@ -168,8 +159,3 @@ func (c *Core) retryBlockedLoads() {
 		c.readyQ = append(c.readyQ, idx)
 	}
 }
-
-// unblockLoadsFor is called when a store resolves its address; parked loads
-// will be retried on the next cycle's sweep (no action needed beyond the
-// park list, but the hook exists for clarity and symmetry).
-func (c *Core) unblockLoadsFor() {}
