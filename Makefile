@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-canary test race bench experiments trace-smoke serve-smoke dashboard-smoke chaos chaos-cluster fuzz kill-smoke cluster-smoke heal-smoke clean
+.PHONY: all build vet lint lint-canary test race liveness bench experiments trace-smoke serve-smoke dashboard-smoke chaos chaos-cluster fuzz kill-smoke cluster-smoke heal-smoke clean
 
 all: build test
 
@@ -36,6 +36,14 @@ test: build vet lint
 
 race:
 	$(GO) test -race ./internal/sim/... ./internal/service/... ./internal/obs/... ./internal/cluster/...
+
+# Wide liveness sweep: every H-mix x prefetcher x {EMC, runahead, both} at
+# seeds 1-10 and 12000 instructions per core must finish its budget inside a
+# cycle cap derived from it (100 x budget + 200k), so a hang fails fast and
+# names its configuration. The default suite runs a narrow version
+# (TestLivenessSweep); see internal/sim/liveness_test.go.
+liveness:
+	$(GO) test -tags liveness -run '^TestLivenessSweepWide$$' -count=1 -timeout 30m ./internal/sim/
 
 # End-to-end observability smoke: run a tiny traced workload with the debug
 # server up, validate the Chrome trace against the schema, and scrape
