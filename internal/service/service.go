@@ -794,7 +794,8 @@ func (s *Service) runOnce(j *Job) (res *sim.Result, err error) {
 }
 
 // finishJob finalizes the job, maintains the in-flight index, and bumps the
-// terminal counters.
+// terminal counters. The counters move before finalize releases the job's
+// waiters, so a caller that has its result also sees it counted.
 func (s *Service) finishJob(j *Job, state State, res *sim.Result, err error) {
 	if j.cacheable {
 		s.mu.Lock()
@@ -803,7 +804,6 @@ func (s *Service) finishJob(j *Job, state State, res *sim.Result, err error) {
 		}
 		s.mu.Unlock()
 	}
-	j.finalize(state, res, err)
 	switch state {
 	case StateDone:
 		s.completed.Add(1)
@@ -812,4 +812,5 @@ func (s *Service) finishJob(j *Job, state State, res *sim.Result, err error) {
 	case StateCancelled:
 		s.cancelled.Add(1)
 	}
+	j.finalize(state, res, err)
 }
