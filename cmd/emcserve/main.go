@@ -72,8 +72,6 @@ func main() {
 	suspect := flag.Duration("suspect-after", 0, "mark peers dead after this much heartbeat silence (0 = 4x heartbeat)")
 	stealThreshold := flag.Int("steal-threshold", 2, "peer queue depth that makes an idle node steal work")
 	antiEntropy := flag.Duration("anti-entropy-interval", 30*time.Second, "anti-entropy digest-exchange cadence (negative = off)")
-	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive peer failures that trip the circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit duration before a half-open probe (jittered +/-25%)")
 	clusterToken := flag.String("cluster-token", "", "shared bearer token guarding /api/v1/cluster/* (empty = no auth)")
 	flag.Parse()
 
@@ -128,8 +126,6 @@ func main() {
 			SuspectAfter:        *suspect,
 			StealThreshold:      *stealThreshold,
 			AntiEntropyInterval: *antiEntropy,
-			BreakerThreshold:    *breakerThreshold,
-			BreakerCooldown:     *breakerCooldown,
 		})
 		tr := cluster.NewHTTPTransport(node.MemberAddr)
 		tr.Token = *clusterToken

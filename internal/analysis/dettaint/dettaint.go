@@ -5,7 +5,8 @@
 // the wall clock (heartbeats, timeouts), but the moment such a value flows
 // into a sim.Result, an EMCR record, a figure table, or a fingerprint
 // input, every byte-identity claim the repro makes (Fig12 across 1 vs 3
-// nodes, bit-exact resume, content-addressed caching) is silently void.
+// nodes, bit-exact crash re-runs, content-addressed caching) is silently
+// void.
 //
 // Taint sources:
 //

@@ -2,7 +2,7 @@
 // cluster layers for a reachable stop path. The fabric's shutdown story
 // (Service.Close/Drain, Node.Close) waits on WaitGroups; a goroutine whose
 // loop can spin without ever observing a stop signal turns those joins into
-// hangs — exactly the bug class the breaker loops, anti-entropy ticker, and
+// hangs — exactly the bug class the heartbeat loop, anti-entropy ticker, and
 // delegation-reclaim timers flirt with.
 //
 // The rule: from a `go` statement, every statically unbounded loop

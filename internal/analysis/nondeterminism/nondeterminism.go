@@ -1,8 +1,7 @@
 // Package nondeterminism rejects constructs that would break the
-// simulator's bit-exact reproducibility guarantees: checkpoint/resume
-// replay, cycle-skip lockstep, and content-addressed result caching all
-// assume that a (Config, trace) pair fully determines every simulation
-// output. Inside simulation-state packages the analyzer forbids wall-clock
+// simulator's bit-exact reproducibility guarantees: crash re-runs,
+// cycle-skip lockstep, and content-addressed result caching all assume
+// that a (Config, trace) pair fully determines every simulation output. Inside simulation-state packages the analyzer forbids wall-clock
 // and entropy sources and flags map iterations whose bodies let Go's
 // randomized map order leak into simulation-visible state or output.
 //
@@ -25,7 +24,7 @@ import (
 
 // SimStatePattern selects the packages whose import paths hold
 // simulation-visible state or deterministic output: the model packages
-// (checkpoint/fingerprint bit-identity) plus figures/report (byte-identical
+// (fingerprint bit-identity) plus figures/report (byte-identical
 // table emission, pinned by the service golden tests). Everything outside
 // it (service, obs, tooling) is free to read clocks. The testdata fixture
 // trees embed "internal/sim" in their paths on purpose so the same default
@@ -36,7 +35,7 @@ var SimStatePattern = regexp.MustCompile(`internal/(sim|cpu|emc|mem|interconnect
 var Analyzer = &framework.Analyzer{
 	Name: "nondeterminism",
 	Doc: "forbid wall-clock/entropy sources and order-leaking map iteration in simulation-state packages\n\n" +
-		"Bit-exact determinism (checkpoint replay, cycle-skip lockstep, fingerprint caching) requires that no simulation state derive from time, global randomness, or Go's randomized map order.",
+		"Bit-exact determinism (crash re-runs, cycle-skip lockstep, fingerprint caching) requires that no simulation state derive from time, global randomness, or Go's randomized map order.",
 	Run: run,
 }
 

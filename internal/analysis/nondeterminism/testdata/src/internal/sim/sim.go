@@ -46,7 +46,7 @@ func seeded(seed int64) int {
 	return r.Intn(64)
 }
 
-// emit writes state in map order: the classic checkpoint-divergence bug.
+// emit writes state in map order: the classic re-run-divergence bug.
 func (s *State) emit(sink func(string)) {
 	for k := range s.Seen {
 		sink(k) // want `call with potential side effects inside map iteration`

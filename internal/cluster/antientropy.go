@@ -89,7 +89,7 @@ func (n *Node) antiEntropyRound(peer string) {
 		return
 	}
 	var remote Digest
-	err := n.viaBreaker(peer, func() error {
+	err := n.reach(peer, func() error {
 		var err error
 		remote, err = n.tr.Digest(context.Background(), peer)
 		return err
@@ -104,7 +104,7 @@ func (n *Node) antiEntropyRound(peer string) {
 			continue
 		}
 		var keys []string
-		kerr := n.viaBreaker(peer, func() error {
+		kerr := n.reach(peer, func() error {
 			var err error
 			keys, err = n.tr.Keys(context.Background(), peer, b)
 			return err

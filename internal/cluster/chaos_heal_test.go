@@ -1,7 +1,7 @@
 // Self-healing chaos schedules: seeded scenarios that exercise the heal
 // paths specifically — a node joining mid-sweep (ring growth), a killed
 // node restarting empty and backfilling (anti-entropy recovery), and a
-// flapping peer (breaker trips and half-open recovery) — with the heal
+// flapping peer (marked dead on a failed RPC, revived by heartbeat) — with the heal
 // failpoints (digest skip, record-fetch failure) armed probabilistically
 // on top. The invariants are the same as the base chaos
 // suite: no lost, duplicated, or torn results.
@@ -88,8 +88,6 @@ func runClusterHealSchedule(t *testing.T, seed int64, pool []sim.Config, refs []
 			StealThreshold:      1 + rng.Intn(2),
 			DelegationTimeout:   500 * time.Millisecond,
 			AntiEntropyInterval: time.Duration(10+rng.Intn(15)) * time.Millisecond,
-			BreakerThreshold:    3,
-			BreakerCooldown:     time.Duration(30+rng.Intn(50)) * time.Millisecond,
 		}
 	}
 	f := newFabricOpts(t, 3, scfg, opts)
@@ -220,7 +218,7 @@ func runClusterHealSchedule(t *testing.T, seed int64, pool []sim.Config, refs []
 			}
 		}
 	case "flap":
-		// Once healed, half-open probes must close the breaker: every peer
+		// Once healed, heartbeat probes must revive every peer: every peer
 		// row on node0 returns to alive.
 		deadline := time.Now().Add(10 * time.Second)
 		for {
@@ -234,7 +232,7 @@ func runClusterHealSchedule(t *testing.T, seed int64, pool []sim.Config, refs []
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("breakers never closed after the flapping stopped: %+v (faults:%s)",
+				t.Fatalf("peers never revived after the flapping stopped: %+v (faults:%s)",
 					f.Nodes[0].Service().Stats().Nodes, faults)
 			}
 			time.Sleep(5 * time.Millisecond)

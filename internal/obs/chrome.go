@@ -52,46 +52,12 @@ func (e *ChromeExport) Runs() int {
 func (e *ChromeExport) WriteJSON(w io.Writer) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
+	cw, err := NewChromeWriter(w)
+	if err != nil {
 		return err
-	}
-	first := true
-	emit := func(v any) error {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		if !first {
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		first = false
-		bw.WriteByte('\n')
-		_, err = bw.Write(raw)
-		return err
-	}
-	type meta struct {
-		Name string         `json:"name"`
-		Ph   string         `json:"ph"`
-		Pid  int            `json:"pid"`
-		Tid  int            `json:"tid"`
-		Args map[string]any `json:"args"`
-	}
-	type async struct {
-		Name string         `json:"name"`
-		Cat  string         `json:"cat"`
-		Ph   string         `json:"ph"`
-		Ts   uint64         `json:"ts"`
-		Pid  int            `json:"pid"`
-		Tid  int            `json:"tid"`
-		ID   string         `json:"id"`
-		Args map[string]any `json:"args,omitempty"`
 	}
 	for pid, run := range e.runs {
-		if err := emit(meta{Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": run.label}}); err != nil {
+		if err := cw.Meta("process_name", pid, 0, run.label); err != nil {
 			return err
 		}
 		threads := map[int]string{}
@@ -109,8 +75,7 @@ func (e *ChromeExport) WriteJSON(w io.Writer) error {
 					name = fmt.Sprintf("emc (core %d chains)", r.Core)
 				}
 				threads[tid] = name
-				if err := emit(meta{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-					Args: map[string]any{"name": name}}); err != nil {
+				if err := cw.Meta("thread_name", pid, tid, name); err != nil {
 					return err
 				}
 			}
@@ -126,28 +91,103 @@ func (e *ChromeExport) WriteJSON(w io.Writer) error {
 			// stages sorted by cycle (every stage becomes a step).
 			evs := append([]Event(nil), r.Events...)
 			sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-			begin := async{Name: name, Cat: "miss", Ph: "b", Ts: evs[0].At,
+			begin := ChromeEvent{Name: name, Cat: "miss", Ph: "b", Ts: evs[0].At,
 				Pid: pid, Tid: tid, ID: id,
 				Args: map[string]any{"line": fmt.Sprintf("%#x", r.Line), "pc": fmt.Sprintf("%#x", r.PC)}}
-			if err := emit(begin); err != nil {
+			if err := cw.Event(begin); err != nil {
 				return err
 			}
 			for _, ev := range evs {
-				if err := emit(async{Name: ev.Stage.String(), Cat: "miss", Ph: "n",
+				if err := cw.Event(ChromeEvent{Name: ev.Stage.String(), Cat: "miss", Ph: "n",
 					Ts: ev.At, Pid: pid, Tid: tid, ID: id}); err != nil {
 					return err
 				}
 			}
-			if err := emit(async{Name: name, Cat: "miss", Ph: "e", Ts: evs[len(evs)-1].At,
+			if err := cw.Event(ChromeEvent{Name: name, Cat: "miss", Ph: "e", Ts: evs[len(evs)-1].At,
 				Pid: pid, Tid: tid, ID: id}); err != nil {
 				return err
 			}
 		}
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
+	return cw.Close()
+}
+
+// ChromeWriter streams one Chrome trace_event document in the "JSON Object
+// Format": a {"displayTimeUnit":"ms","traceEvents":[...]} envelope with one
+// event per line. ChromeExport and the service's span export
+// (span.WriteChrome) both write through it, so cmd/tracecheck validates
+// both and their traceEvents arrays merge cleanly.
+type ChromeWriter struct {
+	bw    *bufio.Writer
+	first bool
+}
+
+// NewChromeWriter writes the envelope's opening to w. Close writes the rest.
+func NewChromeWriter(w io.Writer) (*ChromeWriter, error) {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
+		return nil, err
+	}
+	return &ChromeWriter{bw: bw, first: true}, nil
+}
+
+// ChromeEvent is one async nestable event: "b" opens the span named by ID,
+// "n" is an instant step inside it, "e" closes it. Ts is the timestamp in
+// microseconds, encoded as the caller's type: an integer cycle count for
+// simulator traces (1 cycle = 1us), a float for wall-clock spans.
+type ChromeEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat"`
+	Ph   string         `json:"ph"`
+	Ts   any            `json:"ts"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	ID   string         `json:"id"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+// chromeMeta is a metadata ("M") event naming a process or thread.
+type chromeMeta struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	Args map[string]any `json:"args"`
+}
+
+// Meta writes a metadata event: kind is "process_name" or "thread_name",
+// label the name the viewer shows for pid (and tid).
+func (cw *ChromeWriter) Meta(kind string, pid, tid int, label string) error {
+	return cw.emit(chromeMeta{Name: kind, Ph: "M", Pid: pid, Tid: tid,
+		Args: map[string]any{"name": label}})
+}
+
+// Event writes one async event.
+func (cw *ChromeWriter) Event(ev ChromeEvent) error { return cw.emit(ev) }
+
+func (cw *ChromeWriter) emit(v any) error {
+	raw, err := json.Marshal(v)
+	if err != nil {
 		return err
 	}
-	return bw.Flush()
+	if !cw.first {
+		if err := cw.bw.WriteByte(','); err != nil {
+			return err
+		}
+	}
+	cw.first = false
+	cw.bw.WriteByte('\n')
+	_, err = cw.bw.Write(raw)
+	return err
+}
+
+// Close ends the envelope and flushes; it does not close the underlying
+// writer.
+func (cw *ChromeWriter) Close() error {
+	if _, err := cw.bw.WriteString("\n]}\n"); err != nil {
+		return err
+	}
+	return cw.bw.Flush()
 }
 
 // WriteFile writes the export to path.

@@ -1,11 +1,11 @@
 package span
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/obs"
 )
 
 // ChromePidBase is the process id the service timeline exports under.
@@ -14,9 +14,9 @@ import (
 // timeline showing service queueing above simulated cycles — collision-free.
 const ChromePidBase = 10000
 
-// WriteChrome exports finished job spans as Chrome trace_event JSON (the
-// same "JSON Object Format" envelope as the simulator's trace export, so
-// cmd/tracecheck validates both and the traceEvents arrays merge cleanly).
+// WriteChrome exports finished job spans as Chrome trace_event JSON through
+// the simulator trace export's writer (obs.ChromeWriter), so cmd/tracecheck
+// validates both and the traceEvents arrays merge cleanly.
 //
 // Mapping: one process for the service (label), one thread per worker
 // shard, and one async nestable event per job: "b" at submit, an instant
@@ -25,46 +25,12 @@ const ChromePidBase = 10000
 // exported — an unterminated async span would fail validation; snapshot
 // again after the sweep drains.
 func WriteChrome(w io.Writer, label string, spans []Span) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
+	cw, err := obs.NewChromeWriter(w)
+	if err != nil {
 		return err
-	}
-	first := true
-	emit := func(v any) error {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		if !first {
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		first = false
-		bw.WriteByte('\n')
-		_, err = bw.Write(raw)
-		return err
-	}
-	type meta struct {
-		Name string         `json:"name"`
-		Ph   string         `json:"ph"`
-		Pid  int            `json:"pid"`
-		Tid  int            `json:"tid"`
-		Args map[string]any `json:"args"`
-	}
-	type async struct {
-		Name string         `json:"name"`
-		Cat  string         `json:"cat"`
-		Ph   string         `json:"ph"`
-		Ts   float64        `json:"ts"`
-		Pid  int            `json:"pid"`
-		Tid  int            `json:"tid"`
-		ID   string         `json:"id"`
-		Args map[string]any `json:"args,omitempty"`
 	}
 	pid := ChromePidBase
-	if err := emit(meta{Name: "process_name", Ph: "M", Pid: pid,
-		Args: map[string]any{"name": label}}); err != nil {
+	if err := cw.Meta("process_name", pid, 0, label); err != nil {
 		return err
 	}
 	shards := map[int]bool{}
@@ -79,8 +45,7 @@ func WriteChrome(w io.Writer, label string, spans []Span) error {
 	}
 	sort.Ints(ordered)
 	for _, s := range ordered {
-		if err := emit(meta{Name: "thread_name", Ph: "M", Pid: pid, Tid: s,
-			Args: map[string]any{"name": fmt.Sprintf("shard %d", s)}}); err != nil {
+		if err := cw.Meta("thread_name", pid, s, fmt.Sprintf("shard %d", s)); err != nil {
 			return err
 		}
 	}
@@ -97,23 +62,20 @@ func WriteChrome(w io.Writer, label string, spans []Span) error {
 		if sp.Coalesced > 0 {
 			args["coalesced"] = sp.Coalesced
 		}
-		if err := emit(async{Name: name, Cat: "job", Ph: "b", Ts: us(sp.SubmitAt),
+		if err := cw.Event(obs.ChromeEvent{Name: name, Cat: "job", Ph: "b", Ts: us(sp.SubmitAt),
 			Pid: pid, Tid: sp.Shard, ID: sp.JobID, Args: args}); err != nil {
 			return err
 		}
 		if sp.AdmitAt != NoAdmit {
-			if err := emit(async{Name: "admitted", Cat: "job", Ph: "n", Ts: us(sp.AdmitAt),
+			if err := cw.Event(obs.ChromeEvent{Name: "admitted", Cat: "job", Ph: "n", Ts: us(sp.AdmitAt),
 				Pid: pid, Tid: sp.Shard, ID: sp.JobID}); err != nil {
 				return err
 			}
 		}
-		if err := emit(async{Name: name, Cat: "job", Ph: "e", Ts: us(sp.FinishAt),
+		if err := cw.Event(obs.ChromeEvent{Name: name, Cat: "job", Ph: "e", Ts: us(sp.FinishAt),
 			Pid: pid, Tid: sp.Shard, ID: sp.JobID}); err != nil {
 			return err
 		}
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return cw.Close()
 }

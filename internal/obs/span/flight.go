@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -81,8 +82,9 @@ type Dump struct {
 
 // Verify checks the dump's internal consistency: a monotonic event
 // timeline, non-negative phase durations, and the exact-sum invariant
-// (phases sum to WallNS). CRC integrity is the decoder's job; Verify is the
-// semantic gate tracecheck -flight applies on top.
+// (phases sum to WallNS without overflowing int64). CRC integrity is the
+// decoder's job; Verify is the semantic gate tracecheck -flight applies on
+// top.
 func (d *Dump) Verify() error {
 	if d.JobID == "" || d.Reason == "" {
 		return fmt.Errorf("dump missing jobId/reason")
@@ -97,6 +99,9 @@ func (d *Dump) Verify() error {
 		}
 		if v < 0 {
 			return fmt.Errorf("phase %s has negative duration %dns", name, v)
+		}
+		if v > math.MaxInt64-sum {
+			return fmt.Errorf("phase sum overflows int64 at %s (%dns)", name, v)
 		}
 		sum += v
 	}

@@ -3,6 +3,7 @@ package span
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -159,8 +160,9 @@ func TestDumpRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDumpVerifyRejects: the semantic gate catches broken exact-sums,
-// negative durations, and non-monotonic events.
+// TestDumpVerifyRejects: the semantic gate catches broken exact-sums
+// (including one that matches only through int64 wraparound), negative
+// durations, and non-monotonic events.
 func TestDumpVerifyRejects(t *testing.T) {
 	base := func() *Dump {
 		return &Dump{
@@ -180,6 +182,10 @@ func TestDumpVerifyRejects(t *testing.T) {
 		{"backwards events", func(d *Dump) { d.Events[1].AtNS = 0 }, "backwards"},
 		{"unknown kind", func(d *Dump) { d.Events[0].Kind = "nope" }, "unknown kind"},
 		{"unknown phase", func(d *Dump) { d.PhasesNS["warp"] = 0 }, "unknown phase"},
+		{"sum overflow", func(d *Dump) {
+			d.WallNS = 0
+			d.PhasesNS = map[string]int64{"queued": math.MaxInt64, "running": math.MaxInt64, "cache_hit": 2}
+		}, "overflow"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

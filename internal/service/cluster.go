@@ -224,7 +224,7 @@ func (s *Service) ExecuteNow(j *Job) {
 type NodeStat struct {
 	Node  string `json:"node"`
 	Addr  string `json:"addr,omitempty"`
-	State string `json:"state"` // "self" | "alive" | "degraded" | "dead"
+	State string `json:"state"` // "self" | "alive" | "dead"
 
 	Queued  int `json:"queued"`
 	Running int `json:"running"`
@@ -243,7 +243,6 @@ type NodeStat struct {
 	ReplTorn     uint64 `json:"replTorn,omitempty"`
 	Fetched      uint64 `json:"fetched,omitempty"`
 	Backfilled   uint64 `json:"backfilled,omitempty"`
-	BreakerTrips uint64 `json:"breakerTrips,omitempty"`
 
 	// HeartbeatAgeMS is the age of the last successful heartbeat (peer rows;
 	// -1 when never heard from).

@@ -520,9 +520,6 @@ func (s *System) runLoop(h *RunHandle) (*Result, error) {
 			if h.fn != nil && s.now >= h.next {
 				h.emit(s)
 			}
-			if h.ckptFn != nil && s.now >= h.ckptNext {
-				h.emitCheckpoint(s)
-			}
 		}
 		// Chaos hook: a mid-run crash at a cycle boundary (disarmed: one
 		// atomic load; see internal/fault and DESIGN.md §11.1).

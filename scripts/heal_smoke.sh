@@ -36,7 +36,7 @@ boot() {
     "$dir/emcserve" -addr 127.0.0.1:0 -workers 2 -node-id "$1" \
         -cache-dir "$dir/cache-$1" -cluster-token "$token" \
         -heartbeat 100ms -suspect-after 500ms \
-        -anti-entropy-interval 250ms -breaker-cooldown 500ms \
+        -anti-entropy-interval 250ms \
         -join "$3" \
         >"$2" 2>"$2.err" &
     bootpid=$!
