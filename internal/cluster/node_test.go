@@ -234,6 +234,62 @@ func TestOwnerDeathRedispatch(t *testing.T) {
 	}
 }
 
+// TestUnrequestedRemoteCancelRedispatches: an owner that cancels a
+// forwarded job this node never asked to cancel — its service closing while
+// it still answers RPCs, as a drain past its timeout does — must not cancel
+// the caller's job. The entry node dispatches again, the draining owner
+// refuses the resubmit and is marked dead, and the job completes locally.
+func TestUnrequestedRemoteCancelRedispatches(t *testing.T) {
+	fault.DisableAll()
+	release := make(chan struct{})
+	f := newFabricOpts(t, 2, func(int) service.Config {
+		return service.Config{Workers: 1, QueueCap: 64}
+	}, func(i int) cluster.Options {
+		o := fastOpts(i)
+		o.SuspectAfter = time.Hour // keep the sweep out of it
+		return o
+	})
+
+	// Park node1's only worker so the forwarded job stays queued there.
+	blocker := tinyCfg(99)
+	blocker.CoreTweak = func(*cpu.Config) { <-release }
+	if _, err := f.Nodes[1].Submit("blocker", blocker); err != nil {
+		t.Fatal(err)
+	}
+	cfg := cfgOwnedBy(t, 2, 1)
+	ref := runTiny(t, cfg).Hash()
+	j, err := f.Nodes[0].Submit("t", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "job queued on node1", func() bool {
+		return f.Nodes[1].Counters().Received > 0
+	})
+
+	// Close node1's service with its transport still up: the queued copy
+	// finalizes cancelled once the blocker lets the worker go.
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		_ = f.Nodes[1].Service().Close()
+	}()
+	close(release)
+	<-closed
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := j.Wait(ctx)
+	if err != nil {
+		t.Fatalf("routed job: %v (state %s)", err, j.Status().State)
+	}
+	if res.Hash() != ref {
+		t.Fatalf("result hash %#x, want %#x", res.Hash(), ref)
+	}
+	if c := f.Nodes[0].Counters(); c.Redispatched == 0 {
+		t.Fatalf("no re-dispatch after the owner's unrequested cancel (%+v)", c)
+	}
+}
+
 // TestWorkStealing: an idle node pulls queued jobs off a saturated peer,
 // runs them, and delivers the results back; the victim's jobs complete
 // without its blocked worker ever touching them.
