@@ -71,26 +71,27 @@ chaos:
 	EMCSIM_CHAOS_SCHEDULES=50 $(GO) test -race -run TestChaosSchedules -count=1 ./internal/service/
 
 # Multi-node chaos: 25 seeded fault schedules through a 3-node fabric under
-# the race detector (forward, torn-frame, fetch, heartbeat and steal
-# failpoints, a network partition window, node kills mid-sweep), plus 25
-# self-healing schedules (join mid-sweep, kill-and-restart with anti-entropy
-# backfill, flapping peers marked dead and revived by heartbeat; digest and
-# fetch failpoints). Each schedule logs every node's cluster counters under
-# -v.
+# the race detector (forward, torn-frame, fetch and heartbeat failpoints, a
+# network partition window, node kills mid-sweep), plus 25 self-healing
+# schedules (join mid-sweep, kill-and-restart with anti-entropy backfill,
+# flapping peers marked dead and revived by heartbeat; digest and fetch
+# failpoints). Each schedule logs every node's cluster counters under -v.
 # Deterministic per seed; see internal/cluster/chaos_cluster_test.go and
 # chaos_heal_test.go.
 chaos-cluster:
 	EMCSIM_CHAOS_SCHEDULES=25 $(GO) test -race -run 'TestClusterChaosSchedules|TestClusterHealSchedules' -count=1 ./internal/cluster/
 
 # Decoder fuzzing: explore FuzzDecodeRecord (the EMCR frame decoder every
-# record from disk or a peer passes through) and FuzzDecodeDump (the EMFR
-# flight-dump decoder tracecheck -flight reads from disk), each for
-# FUZZTIME, beyond their committed seed corpora under testdata/fuzz. Plain
-# `go test` replays only the seeds.
+# record from disk or a peer passes through), FuzzDecodeDump (the EMFR
+# flight-dump decoder tracecheck -flight reads from disk) and
+# FuzzDecodeJobSpec (the job-submit JSON decoder every HTTP and forwarded
+# submission passes through), each for FUZZTIME, beyond their committed seed
+# corpora under testdata/fuzz. Plain `go test` replays only the seeds.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime=$(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDump$$' -fuzztime=$(FUZZTIME) ./internal/obs/span/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJobSpec$$' -fuzztime=$(FUZZTIME) ./internal/service/
 
 # Crash-recovery smoke: boot emcserve with a durable cache, compute a
 # result, SIGKILL the server mid-sweep, restart it over the same directory,

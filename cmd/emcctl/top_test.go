@@ -21,17 +21,28 @@ func TestRenderTopNodeTable(t *testing.T) {
 		Time: time.Now(),
 		Stats: service.Stats{
 			Nodes: []service.NodeStat{
-				{Node: "node0", State: "self", Queued: 1, Forwarded: 3, StolenIn: 2, StolenOut: 1},
+				{Node: "node0", State: "self", Queued: 1, Forwarded: 3, ReplTorn: 2},
 				{Node: "node1", State: "alive", HeartbeatAgeMS: 12},
 				{Node: "node2", State: "dead", HeartbeatAgeMS: -1},
 			},
 		},
 	}
 	out := renderTop(f, newEtaTracker())
-	for _, want := range []string{"NODE", "node0", "self", "12ms", "never", "dead", "2/1"} {
+	for _, want := range []string{"NODE", "node0", "self", "12ms", "never", "dead"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered frame missing %q:\n%s", want, out)
 		}
+	}
+	// The self row's counters land in their columns: QUEUED RUNNING HUNG
+	// FWD TORN, then BEAT ("-": the self row has no heartbeat to age).
+	var self string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "node0 ") {
+			self = line
+		}
+	}
+	if got, want := strings.Join(strings.Fields(self), " "), "node0 self 1 0 0 3 2 -"; got != want {
+		t.Fatalf("self row %q, want %q:\n%s", got, want, out)
 	}
 	// Single-process frames stay free of the table.
 	plain := renderTop(&service.StatsFrame{Time: time.Now()}, newEtaTracker())

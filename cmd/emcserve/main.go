@@ -23,7 +23,7 @@
 // fabric (see internal/cluster and DESIGN.md §15): submissions to any node
 // route to the key's consistent-hash owner, results spread across the
 // fabric by pull (owner fetch, peer fetch, anti-entropy) as durable EMCR
-// records, and idle nodes steal queued work:
+// records:
 //
 //	emcserve -addr 127.0.0.1:8081 -node-id a
 //	emcserve -addr 127.0.0.1:8082 -node-id b -join http://127.0.0.1:8081
@@ -70,7 +70,6 @@ func main() {
 	peers := flag.String("peers", "", "static membership as id=url,id=url (alternative to -join)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "cluster heartbeat interval")
 	suspect := flag.Duration("suspect-after", 0, "mark peers dead after this much heartbeat silence (0 = 4x heartbeat)")
-	stealThreshold := flag.Int("steal-threshold", 2, "peer queue depth that makes an idle node steal work")
 	antiEntropy := flag.Duration("anti-entropy-interval", 30*time.Second, "anti-entropy digest-exchange cadence (negative = off)")
 	clusterToken := flag.String("cluster-token", "", "shared bearer token guarding /api/v1/cluster/* (empty = no auth)")
 	flag.Parse()
@@ -124,7 +123,6 @@ func main() {
 			Addr:                adv,
 			HeartbeatInterval:   *heartbeat,
 			SuspectAfter:        *suspect,
-			StealThreshold:      *stealThreshold,
 			AntiEntropyInterval: *antiEntropy,
 		})
 		tr := cluster.NewHTTPTransport(node.MemberAddr)

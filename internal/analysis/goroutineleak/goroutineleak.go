@@ -3,7 +3,7 @@
 // (Service.Close/Drain, Node.Close) waits on WaitGroups; a goroutine whose
 // loop can spin without ever observing a stop signal turns those joins into
 // hangs — exactly the bug class the heartbeat loop, anti-entropy ticker, and
-// delegation-reclaim timers flirt with.
+// routed-job status polls flirt with.
 //
 // The rule: from a `go` statement, every statically unbounded loop
 // reachable through the module call graph (the spawned function, the

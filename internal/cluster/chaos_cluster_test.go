@@ -105,9 +105,6 @@ func armClusterChaos(t *testing.T, rng *rand.Rand) string {
 	if rng.Float64() < 0.4 {
 		arm(fault.SiteClusterHeartbeat, prob(0.2))
 	}
-	if rng.Float64() < 0.4 {
-		arm(fault.SiteClusterSteal, prob(0.3))
-	}
 	if rng.Float64() < 0.3 {
 		arm("service/worker.prerun", prob(0.1+0.2*rng.Float64()))
 	}
@@ -151,8 +148,6 @@ func runClusterChaosSchedule(t *testing.T, seed int64, pool []sim.Config, refs [
 				HeartbeatInterval: time.Duration(5+rng.Intn(10)) * time.Millisecond,
 				SuspectAfter:      40 * time.Millisecond,
 				PollInterval:      2 * time.Millisecond,
-				StealThreshold:    1 + rng.Intn(2),
-				DelegationTimeout: 500 * time.Millisecond,
 			}
 		})
 	faults := armClusterChaos(t, rng)

@@ -85,8 +85,6 @@ func runClusterHealSchedule(t *testing.T, seed int64, pool []sim.Config, refs []
 			HeartbeatInterval:   heartbeat,
 			SuspectAfter:        40 * time.Millisecond,
 			PollInterval:        2 * time.Millisecond,
-			StealThreshold:      1 + rng.Intn(2),
-			DelegationTimeout:   500 * time.Millisecond,
 			AntiEntropyInterval: time.Duration(10+rng.Intn(15)) * time.Millisecond,
 		}
 	}

@@ -31,9 +31,7 @@ const peerIDHeader = "X-Emc-Node"
 //
 //	POST /api/v1/cluster/submit     forwarded job intake (SubmitRequest)
 //	GET  /api/v1/cluster/record     ?key= -> durable EMCR frame bytes
-//	POST /api/v1/cluster/replicate  stolen job's result as an EMCR frame
 //	GET  /api/v1/cluster/ping       Health JSON
-//	POST /api/v1/cluster/steal      one StolenJob JSON, or 204 when declined
 //	POST /api/v1/cluster/join       Member JSON -> member list JSON
 //	GET  /api/v1/cluster/members    member list JSON
 //	GET  /api/v1/cluster/digest     anti-entropy Digest JSON
@@ -81,9 +79,7 @@ func NewHandler(n *Node, reg *obs.Registry, token string) http.Handler {
 	mux.HandleFunc("POST /api/v1/jobs", n.httpSubmit)
 	mux.HandleFunc("POST /api/v1/cluster/submit", guard(n.httpClusterSubmit))
 	mux.HandleFunc("GET /api/v1/cluster/record", guard(n.httpRecord))
-	mux.HandleFunc("POST /api/v1/cluster/replicate", guard(n.httpReplicate))
 	mux.HandleFunc("GET /api/v1/cluster/ping", guard(n.httpPing))
-	mux.HandleFunc("POST /api/v1/cluster/steal", guard(n.httpSteal))
 	mux.HandleFunc("POST /api/v1/cluster/join", guard(n.httpJoin))
 	mux.HandleFunc("GET /api/v1/cluster/members", guard(func(w http.ResponseWriter, _ *http.Request) {
 		httpJSON(w, http.StatusOK, n.Members())
@@ -181,33 +177,8 @@ func (n *Node) httpRecord(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (n *Node) httpReplicate(w http.ResponseWriter, r *http.Request) {
-	frame, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxRequestBody))
-	if err != nil {
-		httpJSON(w, http.StatusBadRequest, httpError{Error: "bad request body: " + err.Error()})
-		return
-	}
-	if err := n.HandleReplicate(frame); err != nil {
-		httpJSON(w, http.StatusBadRequest, httpError{Error: err.Error()})
-		return
-	}
-	httpJSON(w, http.StatusOK, struct{}{})
-}
-
 func (n *Node) httpPing(w http.ResponseWriter, _ *http.Request) {
 	httpJSON(w, http.StatusOK, n.HandlePing())
-}
-
-func (n *Node) httpSteal(w http.ResponseWriter, _ *http.Request) {
-	sj, err := n.HandleSteal()
-	switch {
-	case err != nil:
-		httpJSON(w, http.StatusInternalServerError, httpError{Error: err.Error()})
-	case sj == nil:
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		httpJSON(w, http.StatusOK, sj)
-	}
 }
 
 func (n *Node) httpJoin(w http.ResponseWriter, r *http.Request) {
@@ -316,9 +287,6 @@ func (t *HTTPTransport) do(ctx context.Context, method, url, contentType string,
 			*b = data
 			return resp.StatusCode, nil
 		}
-		if len(data) == 0 {
-			return resp.StatusCode, nil // 204 and friends
-		}
 		if err := json.Unmarshal(data, out); err != nil {
 			return resp.StatusCode, fmt.Errorf("cluster: %s: bad response: %w", url, err)
 		}
@@ -379,15 +347,6 @@ func (t *HTTPTransport) Fetch(ctx context.Context, node, key string) ([]byte, er
 	return frame, nil
 }
 
-func (t *HTTPTransport) Replicate(ctx context.Context, node string, frame []byte) error {
-	base, err := t.base(node)
-	if err != nil {
-		return err
-	}
-	_, err = t.do(ctx, http.MethodPost, base+"/api/v1/cluster/replicate", "application/octet-stream", frame, nil)
-	return err
-}
-
 func (t *HTTPTransport) Ping(ctx context.Context, node string) (Health, error) {
 	base, err := t.base(node)
 	if err != nil {
@@ -398,22 +357,6 @@ func (t *HTTPTransport) Ping(ctx context.Context, node string) (Health, error) {
 		return Health{}, err
 	}
 	return h, nil
-}
-
-func (t *HTTPTransport) Steal(ctx context.Context, node string) (*StolenJob, error) {
-	base, err := t.base(node)
-	if err != nil {
-		return nil, err
-	}
-	var sj StolenJob
-	code, err := t.do(ctx, http.MethodPost, base+"/api/v1/cluster/steal", "", nil, &sj)
-	if err != nil {
-		return nil, err
-	}
-	if code == http.StatusNoContent || sj.Key == "" {
-		return nil, nil
-	}
-	return &sj, nil
 }
 
 func (t *HTTPTransport) Join(ctx context.Context, node string, mem Member) ([]Member, error) {

@@ -265,34 +265,14 @@ func TestHTTPTransportErrorClassification(t *testing.T) {
 	if _, err := tr.Fetch(ctx, "a", "no-such-key"); err != cluster.ErrNoRecord {
 		t.Fatalf("missing record classified %v, want ErrNoRecord", err)
 	}
-	// A steal against an idle node declines with (nil, nil) over 204.
-	sj, err := tr.Steal(ctx, "a")
-	if err != nil || sj != nil {
-		t.Fatalf("idle steal = (%v, %v), want (nil, nil)", sj, err)
-	}
-	// A corrupt replica is a permanent, non-retryable error.
-	cfg := tinyCfg(1)
-	key, _ := service.CacheKey(&cfg)
-	frame, err := service.EncodeRecord(key, runTiny(t, cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame[len(frame)/2] ^= 0xFF
-	err = tr.Replicate(ctx, "a", frame)
-	if err == nil || err == cluster.ErrUnreachable || err == cluster.ErrBusy {
-		t.Fatalf("torn replica classified %v, want permanent error", err)
-	}
-	if c := a.node.Counters(); c.ReplTorn != 1 {
-		t.Fatalf("torn counter %d, want 1", c.ReplTorn)
-	}
 }
 
 // TestHTTPBodyLimit: every request body the fabric handler reads is capped
 // at service.MaxRequestBody. The test measures the largest EMCR frame a
 // Fig. 12 configuration produces, checks the cap leaves wide headroom over
-// it and that such a frame still seeds a peer, then shows that an oversized
-// body — one the handler would otherwise accept — gets a 4xx on every body-
-// reading endpoint.
+// it and that such a frame still crosses the HTTP fabric intact, then shows
+// that an oversized body — one the handler would otherwise accept — gets a
+// 4xx on every body-reading endpoint.
 func TestHTTPBodyLimit(t *testing.T) {
 	fault.DisableAll()
 	opts := figures.DefaultOptions()
@@ -334,24 +314,22 @@ func TestHTTPBodyLimit(t *testing.T) {
 	tr := cluster.NewHTTPTransport(func(string) (string, bool) { return a.url, true })
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := tr.Replicate(ctx, "a", bigFrame); err != nil {
-		t.Fatalf("largest Fig. 12 frame rejected: %v", err)
-	}
-	got, ok := a.node.Service().PeekResult(bigKey)
-	if !ok {
-		t.Fatal("largest Fig. 12 frame did not seed")
-	}
-	if reframe, _ := service.EncodeRecord(bigKey, got); !bytes.Equal(reframe, bigFrame) {
-		t.Fatal("seeded frame re-encodes to different bytes")
-	}
-
-	// Oversized bodies that would pass without the cap: a huge client,
-	// member id, or record key inside otherwise valid requests and frames.
-	huge := strings.Repeat("x", service.MaxRequestBody)
-	hugeFrame, err := service.EncodeRecord(huge, got)
+	_, big, err := service.DecodeRecord(bigFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.node.Service().SeedResult(bigKey, big)
+	served, err := tr.Fetch(ctx, "a", bigKey)
+	if err != nil {
+		t.Fatalf("largest Fig. 12 frame not served: %v", err)
+	}
+	if !bytes.Equal(served, bigFrame) {
+		t.Fatal("served frame differs from the encoded one")
+	}
+
+	// Oversized bodies that would pass without the cap: a huge client or
+	// member id inside otherwise valid requests.
+	huge := strings.Repeat("x", service.MaxRequestBody)
 	cfg := tinyCfg(1)
 	key, _ := service.CacheKey(&cfg)
 	jobBody, _ := json.Marshal(map[string]any{
@@ -368,7 +346,6 @@ func TestHTTPBodyLimit(t *testing.T) {
 		{"/api/v1/jobs", jobBody},
 		{"/api/v1/cluster/submit", submitBody},
 		{"/api/v1/cluster/join", joinBody},
-		{"/api/v1/cluster/replicate", hugeFrame},
 	} {
 		resp, err := http.Post(a.url+c.path, "application/octet-stream", bytes.NewReader(c.body))
 		if err != nil {
@@ -385,9 +362,6 @@ func TestHTTPBodyLimit(t *testing.T) {
 	}
 	if st := a.node.Service().Stats(); st.Submitted != 0 {
 		t.Fatalf("oversized submissions reached the scheduler: %d submitted", st.Submitted)
-	}
-	if _, ok := a.node.Service().PeekResult(huge); ok {
-		t.Fatal("oversized frame seeded the cache")
 	}
 }
 

@@ -16,13 +16,12 @@ import (
 // fail as unreachable (the partition model, driving re-dispatch);
 // replicate.recv tears one byte of an inbound frame (the CRC check must
 // reject it); fetch fails one record fetch (owner, peer, or backfill);
-// heartbeat skips one probe; steal refuses to hand out a job.
+// heartbeat skips one probe.
 var (
 	fpForward   = fault.Register(fault.SiteClusterForward)
-	fpReplRecv  = fault.Register(fault.SiteClusterReplicateRecv)
+	fpFrameTear = fault.Register(fault.SiteClusterReplicateRecv)
 	fpFetch     = fault.Register(fault.SiteClusterFetch)
 	fpHeartbeat = fault.Register(fault.SiteClusterHeartbeat)
-	fpSteal     = fault.Register(fault.SiteClusterSteal)
 )
 
 // Options tunes one fabric node. The zero value of every field selects a
@@ -42,12 +41,6 @@ type Options struct {
 	// PollInterval is the forwarded-job status poll cadence, also the busy
 	// backoff unit (default 100ms).
 	PollInterval time.Duration
-	// StealThreshold is the minimum queue depth at which a peer becomes a
-	// steal victim (default 2).
-	StealThreshold int
-	// DelegationTimeout bounds how long a victim waits for a thief to
-	// deliver before reclaiming the job (default 30s).
-	DelegationTimeout time.Duration
 	// ForwardRetries is how many ErrBusy responses a forward absorbs before
 	// executing locally instead (default 3).
 	ForwardRetries int
@@ -73,12 +66,6 @@ func (o *Options) defaults() {
 	if o.PollInterval <= 0 {
 		o.PollInterval = 100 * time.Millisecond
 	}
-	if o.StealThreshold <= 0 {
-		o.StealThreshold = 2
-	}
-	if o.DelegationTimeout <= 0 {
-		o.DelegationTimeout = 30 * time.Second
-	}
 	if o.ForwardRetries <= 0 {
 		o.ForwardRetries = 3
 	}
@@ -90,30 +77,19 @@ func (o *Options) defaults() {
 	}
 }
 
-// delegation is one queued job handed to a thief, with its reclaim timer.
-type delegation struct {
-	j     *service.Job
-	timer *time.Timer
-}
-
 // Counters is a node's cluster-counter snapshot (tests, smoke checks).
 type Counters struct {
 	Forwarded     uint64 // fresh jobs this node routed to a remote owner
 	Received      uint64 // forwarded jobs accepted as owner
 	Redispatched  uint64 // forwards re-routed after an owner died
 	LocalFallback uint64 // routed jobs that ended up executing here
-	ReplSent      uint64 // stolen-job results returned to their victims
-	ReplRecv      uint64 // stolen-job results accepted (CRC-verified) back
 	ReplTorn      uint64 // inbound frames rejected by CRC verification
 	Fetched       uint64 // records fetched from peers for routed jobs
 	FetchServed   uint64 // records served to fetching peers
-	StolenIn      uint64 // jobs stolen from victims and run here
-	StolenOut     uint64 // queued jobs handed out to thieves
-	Reclaimed     uint64 // delegations reclaimed after thief silence
 	Backfilled    uint64 // records backfilled via anti-entropy sync
 }
 
-// Node is one fabric member: a service.Service plus the routing, steal,
+// Node is one fabric member: a service.Service plus the routing,
 // record-fetch, and health machinery that makes N of them act as one
 // scheduler. The service never learns about the cluster — the node attaches
 // itself through the service's hook surface (service/cluster.go).
@@ -126,9 +102,8 @@ type Node struct {
 	ring    *Ring
 	members *membership
 
-	mu        sync.Mutex
-	delegated map[string][]delegation
-	health    map[string]Health // last heartbeat payload per peer
+	mu     sync.Mutex        // guards health; orders Close against track
+	health map[string]Health // last heartbeat payload per peer
 
 	syncing atomic.Bool // anti-entropy backfill in progress
 
@@ -141,14 +116,9 @@ type Node struct {
 	received      atomic.Uint64
 	redispatched  atomic.Uint64
 	localFallback atomic.Uint64
-	replSent      atomic.Uint64
-	replRecv      atomic.Uint64
 	replTorn      atomic.Uint64
 	fetched       atomic.Uint64
 	fetchServed   atomic.Uint64
-	stolenIn      atomic.Uint64
-	stolenOut     atomic.Uint64
-	reclaimed     atomic.Uint64
 	backfilled    atomic.Uint64
 }
 
@@ -157,14 +127,13 @@ type Node struct {
 func New(svc *service.Service, opts Options) *Node {
 	opts.defaults()
 	n := &Node{
-		id:        opts.ID,
-		opts:      opts,
-		svc:       svc,
-		ring:      NewRing(opts.Replicas),
-		members:   newMembership(),
-		delegated: map[string][]delegation{},
-		health:    map[string]Health{},
-		stop:      make(chan struct{}),
+		id:      opts.ID,
+		opts:    opts,
+		svc:     svc,
+		ring:    NewRing(opts.Replicas),
+		members: newMembership(),
+		health:  map[string]Health{},
+		stop:    make(chan struct{}),
 	}
 	n.ring.Add(n.id)
 	n.members.upsert(n.selfMember(), true, time.Now())
@@ -194,8 +163,8 @@ func (n *Node) AddMember(mem Member) { n.admitMember(mem) }
 
 // admitMember is the single funnel every membership source goes through
 // (static config, self-join, gossip). A genuinely new member extends the
-// ring; queued jobs whose keys it now owns stay where they are (work
-// stealing evens out any skew). Returns true only for new members — the
+// ring; queued jobs whose keys it now owns stay where they are, and only
+// later submissions route to it. Returns true only for new members — the
 // gossip-convergence signal.
 func (n *Node) admitMember(mem Member) bool {
 	if mem.ID == "" || mem.ID == n.id {
@@ -223,7 +192,7 @@ func (n *Node) JoinVia(ctx context.Context, seed string) error {
 }
 
 // MarkPeerSeen records inbound evidence of a peer's liveness: any
-// successful RPC *from* id (a forward, a fetch, a steal) resets
+// successful RPC *from* id (a forward, a fetch, a join) resets
 // its suspect timer, so a busy-but-healthy peer whose heartbeats are
 // delayed is not marked dead while it is demonstrably doing work. Unknown
 // ids are ignored (membership is join-driven).
@@ -248,14 +217,9 @@ func (n *Node) Counters() Counters {
 		Received:      n.received.Load(),
 		Redispatched:  n.redispatched.Load(),
 		LocalFallback: n.localFallback.Load(),
-		ReplSent:      n.replSent.Load(),
-		ReplRecv:      n.replRecv.Load(),
 		ReplTorn:      n.replTorn.Load(),
 		Fetched:       n.fetched.Load(),
 		FetchServed:   n.fetchServed.Load(),
-		StolenIn:      n.stolenIn.Load(),
-		StolenOut:     n.stolenOut.Load(),
-		Reclaimed:     n.reclaimed.Load(),
 		Backfilled:    n.backfilled.Load(),
 	}
 }
@@ -274,22 +238,30 @@ func (n *Node) Start() {
 	}
 }
 
-// Close stops the loops and synchronously reclaims every outstanding
-// delegation so no caller is left waiting on a thief that will never
-// report. It does not close the wrapped service — the owner does that.
+// Close stops the loops and waits for every routed job and gossip
+// goroutine to finish. It does not close the wrapped service — the owner
+// does that.
 func (n *Node) Close() {
-	n.stopOnce.Do(func() { close(n.stop) })
-	n.wg.Wait()
 	n.mu.Lock()
-	var all []delegation
-	for k, dels := range n.delegated {
-		all = append(all, dels...)
-		delete(n.delegated, k)
-	}
+	n.stopOnce.Do(func() { close(n.stop) })
 	n.mu.Unlock()
-	for _, d := range all {
-		d.timer.Stop()
-		n.svc.ExecuteNow(d.j)
+	n.wg.Wait()
+}
+
+// track reserves a WaitGroup slot for a goroutine about to start, or
+// returns false once Close has begun. Checking stop under n.mu, which
+// Close holds while closing it, keeps every Add ahead of Close's Wait:
+// a routed submit or a gossip fan-out racing Close otherwise adds to a
+// WaitGroup that is already being waited on.
+func (n *Node) track() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	select {
+	case <-n.stop:
+		return false
+	default:
+		n.wg.Add(1)
+		return true
 	}
 }
 
@@ -327,8 +299,11 @@ func (n *Node) Submit(client string, cfg sim.Config) (*service.Job, error) {
 		return nil, err
 	}
 	if fresh {
+		if !n.track() {
+			n.svc.FinishRouted(j, nil, ErrNodeClosed)
+			return j, nil
+		}
 		n.forwarded.Add(1)
-		n.wg.Add(1)
 		go n.routeJob(j, owner)
 	}
 	return j, nil
@@ -420,7 +395,7 @@ func (n *Node) runRemote(j *service.Job, owner string) (done bool, next string) 
 				return true, ""
 			}
 		case err == ErrBusy:
-			// Owner is saturated: steal the job back and run it here —
+			// Owner is saturated: run the job here instead —
 			// determinism makes the potential duplicate execution benign.
 			return false, n.id
 		default:
@@ -471,7 +446,7 @@ func (n *Node) runRemote(j *service.Job, owner string) (done bool, next string) 
 func (n *Node) finishRemote(ctx context.Context, j *service.Job, owner string, st service.Status) bool {
 	switch st.State {
 	case service.StateDone:
-		if res, ok := n.fetchRecord(ctx, owner, j.Key(), &n.fetched); ok {
+		if res, err := n.fetchRecord(ctx, owner, j.Key(), &n.fetched); err == nil {
 			n.svc.FinishRouted(j, res, nil)
 			return true
 		}
@@ -545,13 +520,11 @@ func isUnreachable(err error) bool {
 //
 // Results spread by pull only. An entry node fetches a routed job's record
 // from the owner (finishRemote) or, failing that, from any live peer
-// (fetchFromPeers); anti-entropy pulls whatever else a node lacks. The one
-// push is a thief returning a stolen job's result to its victim
-// (runStolen → HandleReplicate).
+// (fetchFromPeers); anti-entropy pulls whatever else a node lacks.
 
 // fetchRecord pulls the durable frame for key from one peer and seeds it
 // through acceptFrame; a success is counted in ctr.
-func (n *Node) fetchRecord(ctx context.Context, node, key string, ctr *atomic.Uint64) (*sim.Result, bool) {
+func (n *Node) fetchRecord(ctx context.Context, node, key string, ctr *atomic.Uint64) (*sim.Result, error) {
 	var frame []byte
 	err := n.reach(node, func() error {
 		if fpFetch.Fire() {
@@ -562,23 +535,23 @@ func (n *Node) fetchRecord(ctx context.Context, node, key string, ctr *atomic.Ui
 		return err
 	})
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
-	_, res, err := n.acceptFrame(frame, key)
+	res, err := n.acceptFrame(frame, key)
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
 	ctr.Add(1)
-	return res, true
+	return res, nil
 }
 
 // acceptFrame is the single decode-and-seed step every inbound frame passes
-// — fetched, backfilled, and stolen-job returns alike: CRC-verify, check
-// the key against want (empty accepts any), then seed the local cache
-// (write-through to disk when configured). Torn frames are rejected and
-// counted, so a corrupt byte can never reach the cache.
-func (n *Node) acceptFrame(frame []byte, want string) (string, *sim.Result, error) {
-	if len(frame) > 0 && fpReplRecv.Fire() {
+// — fetched and backfilled alike: CRC-verify, check the key against want,
+// then seed the local cache (write-through to disk when configured). Torn
+// frames are rejected and counted, so a corrupt byte can never reach the
+// cache.
+func (n *Node) acceptFrame(frame []byte, want string) (*sim.Result, error) {
+	if len(frame) > 0 && fpFrameTear.Fire() {
 		// Tear the copy mid-frame; the verification below must reject it.
 		torn := append([]byte(nil), frame...)
 		torn[len(torn)/2] ^= 0xFF
@@ -587,19 +560,19 @@ func (n *Node) acceptFrame(frame []byte, want string) (string, *sim.Result, erro
 	key, res, err := service.DecodeRecord(frame)
 	if err != nil {
 		n.replTorn.Add(1)
-		return "", nil, fmt.Errorf("cluster: replica rejected: %w", err)
+		return nil, fmt.Errorf("cluster: replica rejected: %w", err)
 	}
-	if want != "" && key != want {
-		return "", nil, fmt.Errorf("cluster: record for %q answered a fetch for %q", key, want)
+	if key != want {
+		return nil, fmt.Errorf("cluster: record for %q answered a fetch for %q", key, want)
 	}
 	n.svc.SeedResult(key, res)
-	return key, res, nil
+	return res, nil
 }
 
 // fetchFromPeers tries every live peer in id order.
 func (n *Node) fetchFromPeers(key string) (*sim.Result, bool) {
 	for _, p := range n.members.alivePeers(n.id) {
-		if res, ok := n.fetchRecord(context.Background(), p.ID, key, &n.fetched); ok {
+		if res, err := n.fetchRecord(context.Background(), p.ID, key, &n.fetched); err == nil {
 			return res, true
 		}
 	}
@@ -652,19 +625,6 @@ func (n *Node) HandleFetch(key string) ([]byte, error) {
 	return frame, nil
 }
 
-// HandleReplicate applies a stolen job's result returned by its thief:
-// accept the frame (CRC-verify and seed) and complete any delegated jobs
-// waiting on the key.
-func (n *Node) HandleReplicate(frame []byte) error {
-	key, res, err := n.acceptFrame(frame, "")
-	if err != nil {
-		return err
-	}
-	n.replRecv.Add(1)
-	n.completeDelegated(key, res)
-	return nil
-}
-
 // HandlePing answers a heartbeat with this node's load and sync state.
 func (n *Node) HandlePing() Health {
 	st := n.svc.Stats()
@@ -672,28 +632,6 @@ func (n *Node) HandlePing() Health {
 		ID: n.id, Queued: st.QueueDepth, Running: st.Running, Hung: st.Hung,
 		Syncing: n.syncing.Load(),
 	}
-}
-
-// HandleSteal hands one queued job to a thief, arming the reclaim timer: if
-// neither the thief's returned result nor a reclaim completes the job within
-// DelegationTimeout, the victim re-executes it locally (determinism makes a
-// thief that finished late a benign duplicate).
-func (n *Node) HandleSteal() (*StolenJob, error) {
-	if fpSteal.Fire() {
-		return nil, nil
-	}
-	j, ok := n.svc.TakeQueued()
-	if !ok {
-		return nil, nil
-	}
-	n.mu.Lock()
-	n.delegated[j.Key()] = append(n.delegated[j.Key()], delegation{
-		j:     j,
-		timer: time.AfterFunc(n.opts.DelegationTimeout, func() { n.reclaim(j) }),
-	})
-	n.mu.Unlock()
-	n.stolenOut.Add(1)
-	return &StolenJob{Key: j.Key(), Client: j.Client(), Cfg: j.Config()}, nil
 }
 
 // HandleJoin admits a member announced by a peer (or by the member itself),
@@ -705,9 +643,8 @@ func (n *Node) HandleJoin(mem Member) []Member {
 	// re-announces itself comes back from the dead here, not only when its
 	// next heartbeat lands.
 	n.MarkPeerSeen(mem.ID)
-	if n.admitMember(mem) {
+	if n.admitMember(mem) && n.track() {
 		peers := n.members.alivePeers(n.id)
-		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
 			for _, p := range peers {
@@ -725,50 +662,12 @@ func (n *Node) HandleJoin(mem Member) []Member {
 	return n.members.list()
 }
 
-// completeDelegated resolves delegated jobs whose result just arrived.
-func (n *Node) completeDelegated(key string, res *sim.Result) {
-	n.mu.Lock()
-	dels := n.delegated[key]
-	delete(n.delegated, key)
-	n.mu.Unlock()
-	for _, d := range dels {
-		d.timer.Stop()
-		n.svc.FinishStolen(d.j, res)
-	}
-}
-
-// reclaim re-executes a delegated job whose thief never reported back.
-func (n *Node) reclaim(j *service.Job) {
-	n.mu.Lock()
-	dels := n.delegated[j.Key()]
-	rest := dels[:0]
-	found := false
-	for _, d := range dels {
-		if d.j == j {
-			found = true
-			continue
-		}
-		rest = append(rest, d)
-	}
-	if len(rest) == 0 {
-		delete(n.delegated, j.Key())
-	} else {
-		n.delegated[j.Key()] = rest
-	}
-	n.mu.Unlock()
-	if !found {
-		return
-	}
-	n.reclaimed.Add(1)
-	n.svc.ExecuteNow(j)
-}
-
 // ---------------------------------------------------------------------------
-// Health and stealing.
+// Health.
 
 // heartbeats is the node-granularity watchdog loop: probe every peer (dead
-// ones too — that is how they revive after a healed partition), sweep for
-// stale heartbeats, then consider stealing work if idle.
+// ones too — that is how they revive after a healed partition), then sweep
+// for stale heartbeats.
 func (n *Node) heartbeats() {
 	defer n.wg.Done()
 	t := time.NewTicker(n.opts.HeartbeatInterval)
@@ -805,61 +704,6 @@ func (n *Node) heartbeatRound() {
 		n.mu.Unlock()
 	}
 	n.members.sweep(time.Now(), n.opts.SuspectAfter)
-	n.maybeSteal()
-}
-
-// maybeSteal pulls one job from the most loaded live peer when this node's
-// own queue is empty — skew smoothing, not load balancing: the ring already
-// spreads keys, stealing only absorbs hot-spot bursts.
-func (n *Node) maybeSteal() {
-	if n.svc.QueueDepth() > 0 {
-		return
-	}
-	victim, best := "", n.opts.StealThreshold-1
-	n.mu.Lock()
-	for id, h := range n.health {
-		if h.Queued > best && !n.members.isDead(id) {
-			victim, best = id, h.Queued
-		}
-	}
-	n.mu.Unlock()
-	if victim == "" {
-		return
-	}
-	var sj *StolenJob
-	err := n.reach(victim, func() error {
-		var err error
-		sj, err = n.tr.Steal(context.Background(), victim)
-		return err
-	})
-	if err != nil || sj == nil {
-		return
-	}
-	n.wg.Add(1)
-	go n.runStolen(victim, sj)
-}
-
-// runStolen executes one stolen job and delivers the result straight back
-// to the victim, which completes its delegation on receipt; if the return
-// is lost, the victim reclaims on its delegation timeout.
-func (n *Node) runStolen(victim string, sj *StolenJob) {
-	defer n.wg.Done()
-	n.stolenIn.Add(1)
-	res, err := n.svc.Run(context.Background(), "steal/"+victim, sj.Cfg)
-	if err != nil {
-		return // victim reclaims on the delegation timeout
-	}
-	//simlint:dettaintok res is the simulator's deterministic Result; the taint is Job.submitted scheduling metadata, which EncodeRecord never frames
-	frame, err := service.EncodeRecord(sj.Key, res)
-	if err != nil {
-		return
-	}
-	err = n.reach(victim, func() error {
-		return n.tr.Replicate(context.Background(), victim, frame)
-	})
-	if err == nil {
-		n.replSent.Add(1)
-	}
 }
 
 // nodeStats is the service stats hook: the per-node rows for
@@ -871,9 +715,6 @@ func (n *Node) nodeStats(local *service.Stats) []service.NodeStat {
 		Syncing:      n.syncing.Load(),
 		Forwarded:    n.forwarded.Load(),
 		Redispatched: n.redispatched.Load(),
-		StolenIn:     n.stolenIn.Load(),
-		StolenOut:    n.stolenOut.Load(),
-		Replicated:   n.replRecv.Load(),
 		ReplTorn:     n.replTorn.Load(),
 		Fetched:      n.fetched.Load(),
 		Backfilled:   n.backfilled.Load(),

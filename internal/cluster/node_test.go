@@ -1,5 +1,6 @@
-// Fabric unit tests: routing, cluster-wide coalescing, failover, stealing,
-// record fetch and the torn-frame guard, and membership — all over the in-process LocalTransport.
+// Fabric unit tests: routing, cluster-wide coalescing, failover, record
+// fetch and the torn-frame guard, and membership — all over the in-process
+// LocalTransport.
 // Failpoints are process-global, so no t.Parallel anywhere in this package.
 package cluster_test
 
@@ -47,7 +48,6 @@ func fastOpts(int) cluster.Options {
 		HeartbeatInterval: 10 * time.Millisecond,
 		SuspectAfter:      60 * time.Millisecond,
 		PollInterval:      2 * time.Millisecond,
-		DelegationTimeout: 2 * time.Second,
 	}
 }
 
@@ -290,111 +290,152 @@ func TestUnrequestedRemoteCancelRedispatches(t *testing.T) {
 	}
 }
 
-// TestWorkStealing: an idle node pulls queued jobs off a saturated peer,
-// runs them, and delivers the results back; the victim's jobs complete
-// without its blocked worker ever touching them.
-func TestWorkStealing(t *testing.T) {
+// TestBusyOwnerRunsLocally: an owner whose queue stays full answers every
+// forward with ErrBusy; after ForwardRetries the entry node runs the job
+// itself, with the reference result, while the owner executes nothing.
+func TestBusyOwnerRunsLocally(t *testing.T) {
 	fault.DisableAll()
 	release := make(chan struct{})
-	defer func() {
-		select {
-		case <-release:
-		default:
-			close(release)
-		}
-	}()
+	defer close(release)
 	f := newFabricOpts(t, 2, func(i int) service.Config {
 		if i == 0 {
-			return service.Config{Workers: 1, QueueCap: 64}
+			return service.Config{Workers: 1, QueueCap: 1}
 		}
-		return service.Config{Workers: 2, QueueCap: 64}
-	}, func(i int) cluster.Options {
-		o := fastOpts(i)
-		o.StealThreshold = 1 // steal even a single queued job
-		return o
-	})
+		return service.Config{Workers: 1, QueueCap: 64}
+	}, fastOpts)
 
-	// Park node0's only worker on an uncacheable blocker (CoreTweak makes it
-	// non-routable, so it runs locally).
+	// Park node0's only worker and fill its one queue slot with uncacheable
+	// blockers (CoreTweak makes them non-routable, so they stay on node0).
 	blocker := tinyCfg(99)
 	blocker.CoreTweak = func(*cpu.Config) { <-release }
-	bj, err := f.Nodes[0].Submit("blocker", blocker)
-	if err != nil {
+	if _, err := f.Nodes[0].Submit("blocker", blocker); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "blocker running on node0", func() bool {
+		return f.Nodes[0].Service().Stats().Running == 1
+	})
+	if _, err := f.Nodes[0].Submit("blocker", blocker); err != nil {
 		t.Fatal(err)
 	}
 
-	// Queue three cacheable jobs that node0 owns; with the worker parked they
-	// can only finish if node1 steals them.
-	var cfgs []sim.Config
-	for seed := uint64(1); len(cfgs) < 3 && seed < 4096; seed++ {
-		cfg := tinyCfg(seed)
-		key, _ := service.CacheKey(&cfg)
-		if ownerOf(2, key) == "node0" {
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	if len(cfgs) < 3 {
-		t.Fatal("not enough node0-owned seeds")
-	}
-	var jobs []*service.Job
-	for i, cfg := range cfgs {
-		j, err := f.Nodes[0].Submit(fmt.Sprintf("c%d", i), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	cfg := cfgOwnedBy(t, 2, 0)
+	ref := runTiny(t, cfg).Hash()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	for i, j := range jobs {
-		res, err := j.Wait(ctx)
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-		if got, want := res.Hash(), runTiny(t, cfgs[i]).Hash(); got != want {
-			t.Fatalf("job %d: stolen result hash %#x != direct %#x", i, got, want)
-		}
+	res, err := f.Nodes[1].Run(ctx, "t", cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c := f.Nodes[0].Counters(); c.StolenOut == 0 {
-		t.Fatalf("victim handed out no jobs (%+v)", c)
+	if res.Hash() != ref {
+		t.Fatalf("local fallback result hash %#x != direct %#x", res.Hash(), ref)
 	}
-	if c := f.Nodes[1].Counters(); c.StolenIn == 0 {
-		t.Fatalf("thief ran no stolen jobs (%+v)", c)
+	if c := f.Nodes[1].Counters(); c.LocalFallback != 1 || c.Redispatched != 1 {
+		t.Fatalf("busy owner not answered by one local fallback (%+v)", c)
 	}
-
-	close(release)
-	if _, err := bj.Wait(ctx); err != nil {
-		t.Fatalf("blocker: %v", err)
+	if got := f.Nodes[1].Service().Stats().Executed; got != 1 {
+		t.Fatalf("entry node executed %d, want 1", got)
+	}
+	if got := f.Nodes[0].Service().Stats().Executed; got != 0 {
+		t.Fatalf("busy owner executed %d, want 0", got)
 	}
 }
 
-// TestTornReplicaRejected: a returned frame corrupted in flight must be
-// rejected by the CRC check, counted, and kept out of the cache; the
-// retransmit seeds cleanly.
+// TestSubmitAfterCloseFailsRouted: a routed submission that arrives after
+// Close began fails with ErrNodeClosed at once — no forward, no goroutine
+// added to a WaitGroup that Close is already waiting on.
+func TestSubmitAfterCloseFailsRouted(t *testing.T) {
+	fault.DisableAll()
+	f := newFabric(t, 2, nil)
+	f.Nodes[0].Close()
+	j, err := f.Nodes[0].Submit("t", cfgOwnedBy(t, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := j.Wait(ctx); !errors.Is(err, cluster.ErrNodeClosed) {
+		t.Fatalf("routed job after Close: %v, want ErrNodeClosed", err)
+	}
+	if c := f.Nodes[1].Counters(); c.Received != 0 {
+		t.Fatalf("closed node still forwarded (%+v)", c)
+	}
+}
+
+// TestCloseRacesRoutedSubmits: routed submissions racing Close each end in
+// a terminal state — done, or ErrNodeClosed — and Close returns; run under
+// -race this also checks no submit adds to the WaitGroup Close waits on.
+func TestCloseRacesRoutedSubmits(t *testing.T) {
+	fault.DisableAll()
+	f := newFabric(t, 2, nil)
+	var cfgs []sim.Config
+	for seed := uint64(1); len(cfgs) < 8 && seed < 4096; seed++ {
+		cfg := tinyCfg(seed)
+		key, _ := service.CacheKey(&cfg)
+		if ownerOf(2, key) == "node1" {
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	jobs := make([]*service.Job, len(cfgs))
+	var wg sync.WaitGroup
+	for i := range cfgs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			j, err := f.Nodes[0].Submit(fmt.Sprintf("c%d", i), cfgs[i])
+			if err != nil {
+				t.Errorf("submit %d: %v", i, err)
+				return
+			}
+			jobs[i] = j
+		}(i)
+	}
+	f.Nodes[0].Close()
+	wg.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i, j := range jobs {
+		if j == nil {
+			continue
+		}
+		if _, err := j.Wait(ctx); err != nil && !errors.Is(err, cluster.ErrNodeClosed) {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+}
+
+// TestTornReplicaRejected: a record frame fetched from its owner and
+// corrupted in flight must be rejected by the CRC check, counted, and kept
+// out of the cache; the retransmit seeds bit-identically.
 func TestTornReplicaRejected(t *testing.T) {
 	fault.DisableAll()
 	t.Cleanup(fault.DisableAll)
-	f := newFabric(t, 2, nil)
-	cfg := tinyCfg(1)
+	f := newFabricOpts(t, 2, nil, func(i int) cluster.Options {
+		o := fastOpts(i)
+		o.AntiEntropyInterval = -1 // no background backfill of the record
+		return o
+	})
+	cfg := cfgOwnedBy(t, 2, 0)
 	key, _ := service.CacheKey(&cfg)
 	res := runTiny(t, cfg)
 	frame, err := service.EncodeRecord(key, res)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.Nodes[0].Service().SeedResult(key, res)
 
 	fp, ok := fault.Lookup(fault.SiteClusterReplicateRecv)
 	if !ok {
 		t.Fatal("replicate.recv failpoint not registered")
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	fp.Enable(fault.Trigger{Once: true})
-	if err := f.Nodes[1].HandleReplicate(frame); err == nil {
+	if _, err := f.Nodes[1].FetchRecord(ctx, "node0", key); err == nil {
 		t.Fatal("torn replica accepted")
 	} else if !errors.Is(err, service.ErrRecordCorrupt) {
 		t.Fatalf("torn replica rejected with the wrong error: %v", err)
 	}
-	if c := f.Nodes[1].Counters(); c.ReplTorn != 1 || c.ReplRecv != 0 {
+	if c := f.Nodes[1].Counters(); c.ReplTorn != 1 || c.Fetched != 0 {
 		t.Fatalf("torn counters wrong: %+v", c)
 	}
 	if _, ok := f.Nodes[1].Service().PeekResult(key); ok {
@@ -402,7 +443,7 @@ func TestTornReplicaRejected(t *testing.T) {
 	}
 
 	// The retransmit (failpoint disarmed by Once) seeds bit-identically.
-	if err := f.Nodes[1].HandleReplicate(frame); err != nil {
+	if _, err := f.Nodes[1].FetchRecord(ctx, "node0", key); err != nil {
 		t.Fatalf("clean replica rejected: %v", err)
 	}
 	got, ok := f.Nodes[1].Service().PeekResult(key)

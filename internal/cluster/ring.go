@@ -3,8 +3,8 @@
 // single owning node, so duplicate submissions serialize behind their first
 // run cluster-wide regardless of which node receives them; completed
 // results spread by pull — owner fetch, peer fetch, and anti-entropy — as
-// the same CRC-framed EMCR records the durable cache writes to disk; idle
-// nodes steal queued work from skewed ones; and heartbeats promote the
+// the same CRC-framed EMCR records the durable cache writes to disk; and
+// heartbeats promote the
 // hung-job watchdog to node granularity, with deterministic re-dispatch of
 // jobs owned by a dead node.
 //

@@ -22,9 +22,9 @@ var (
 	ErrBusy = errors.New("cluster: node busy")
 	// ErrNoRecord means a fetch found no cached record under the key.
 	ErrNoRecord = errors.New("cluster: no such record")
-	// ErrNodeClosed means the local node began shutting down while a routed
-	// job was still in flight; the waiter is failed rather than left to
-	// block Close forever.
+	// ErrNodeClosed means the local node began shutting down before a
+	// routed job finished (or before it could start); the waiter is failed
+	// rather than left to block Close forever.
 	ErrNodeClosed = errors.New("cluster: node closed")
 )
 
@@ -57,13 +57,6 @@ type Health struct {
 	Hung    int    `json:"hung"`
 	// Syncing reports an anti-entropy backfill in progress on the node.
 	Syncing bool `json:"syncing,omitempty"`
-}
-
-// StolenJob is one queued unit of work a victim handed to a thief.
-type StolenJob struct {
-	Key    string     `json:"key"`
-	Client string     `json:"client"`
-	Cfg    sim.Config `json:"config"`
 }
 
 // digestBuckets is the anti-entropy digest width: the content-addressed
@@ -106,14 +99,8 @@ type Transport interface {
 	Cancel(ctx context.Context, node, jobID string) error
 	// Fetch retrieves the durable EMCR frame for key from a peer's cache.
 	Fetch(ctx context.Context, node, key string) ([]byte, error)
-	// Replicate returns a stolen job's result to its victim as a durable
-	// EMCR frame (the receiver CRC-verifies before seeding and completes
-	// the delegation).
-	Replicate(ctx context.Context, node string, frame []byte) error
 	// Ping probes a peer's liveness and load.
 	Ping(ctx context.Context, node string) (Health, error)
-	// Steal asks a peer for one queued job; (nil, nil) means it declined.
-	Steal(ctx context.Context, node string) (*StolenJob, error)
 	// Join announces mem to a peer and returns the peer's member list.
 	Join(ctx context.Context, node string, mem Member) ([]Member, error)
 	// Digest fetches a peer's anti-entropy summary of its durable records.

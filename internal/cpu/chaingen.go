@@ -119,22 +119,10 @@ func (c *Core) maybeStartChain() {
 	if !c.cfg.EMCEnabled {
 		return
 	}
-	if len(c.chains) >= c.cfg.MaxActiveChains {
-		c.DbgChainBusy++
-		return
-	}
-	if !c.FullWindowStalled() {
+	if len(c.chains) >= c.cfg.MaxActiveChains || !c.FullWindowStalled() || !c.DepCounterHigh() {
 		return
 	}
 	headSeq := c.seq[c.robHead]
-	if headSeq != c.lastStallHead {
-		c.lastStallHead = headSeq
-		c.DbgStallHeads++
-	}
-	if !c.DepCounterHigh() {
-		c.DbgCounterLow++
-		return
-	}
 	// One generation attempt per stalled head: the dataflow walk is a
 	// hardware sequence, not something to re-run every stall cycle.
 	if headSeq == c.lastChainAttempt {

@@ -307,12 +307,6 @@ type Core struct {
 	Stats         Stats
 	RunaheadStats RunaheadStats
 
-	// Debug counters (not part of Stats).
-	DbgChainBusy  uint64
-	DbgCounterLow uint64
-	DbgStallHeads uint64
-	lastStallHead uint64
-
 	// waitingFill maps line -> true while an I-cache fill is pending.
 	icFillAt uint64
 }
@@ -1082,14 +1076,6 @@ func (c *Core) SkipIdle(now, delta uint64) {
 	}
 	if now < blockTill || c.fetchHold >= 0 {
 		c.Stats.FetchStallCycles += delta
-	}
-	// Debug counters (not part of Stats) follow the same per-cycle paths.
-	if c.cfg.EMCEnabled {
-		if len(c.chains) >= c.cfg.MaxActiveChains {
-			c.DbgChainBusy += delta
-		} else if c.FullWindowStalled() && !c.DepCounterHigh() {
-			c.DbgCounterLow += delta
-		}
 	}
 }
 

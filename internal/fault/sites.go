@@ -43,9 +43,8 @@ const (
 	// fabric's partition model.
 	SiteClusterForward = "cluster/forward"
 	// SiteClusterReplicateRecv fires in the single decode-and-seed step every
-	// inbound record frame passes (fetched, backfilled, or a stolen job's
-	// returned result); a firing tears one byte of the frame, which the CRC
-	// check must reject.
+	// inbound record frame passes (fetched or backfilled); a firing tears one
+	// byte of the frame, which the CRC check must reject.
 	SiteClusterReplicateRecv = "cluster/replicate.recv"
 	// SiteClusterFetch fires on every record fetch from a peer — owner
 	// fetch, peer fetch, and anti-entropy backfill — failing it as
@@ -54,9 +53,6 @@ const (
 	// SiteClusterHeartbeat fires in the heartbeat loop, skipping that round's
 	// probe of one peer — heartbeat loss without a real partition.
 	SiteClusterHeartbeat = "cluster/heartbeat"
-	// SiteClusterSteal fires on the work-stealing donor path, refusing to
-	// hand out a queued job.
-	SiteClusterSteal = "cluster/steal"
 
 	// SiteClusterAntiEntropyDigest fires on the anti-entropy digest
 	// exchange: the round's digest RPC fails as unreachable, so the node

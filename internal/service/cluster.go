@@ -4,8 +4,7 @@ package service
 // internal/cluster fabric layer needs to route jobs across nodes without
 // reaching into scheduler internals. The service stays oblivious to
 // membership and transports — the cluster package composes these hooks into
-// the consistent-hash dispatch, record-fetch, and steal protocols
-// (DESIGN.md §15).
+// the consistent-hash dispatch and record-fetch protocols (DESIGN.md §15).
 
 import (
 	"errors"
@@ -30,7 +29,7 @@ func CacheKey(cfg *sim.Config) (key string, cacheable bool) {
 
 // EncodeRecord frames a completed result as a durable EMCR record — the
 // exact byte format the on-disk cache uses, reused verbatim as the fabric's
-// wire format for fetched and returned records (a record is valid anywhere).
+// wire format for fetched and backfilled records (a record is valid anywhere).
 func EncodeRecord(key string, res *sim.Result) ([]byte, error) {
 	return encodeDurableRecord(&durableRecord{Key: key, Result: res})
 }
@@ -58,12 +57,6 @@ func (s *Service) PeekResult(key string) (*sim.Result, bool) {
 // benign (the bytes are identical by determinism).
 func (s *Service) SeedResult(key string, res *sim.Result) {
 	s.cache.put(key, res)
-}
-
-// QueueDepth is the number of queued (not yet running) jobs — the signal the
-// steal protocol uses to find skewed nodes.
-func (s *Service) QueueDepth() int {
-	return int(s.queued.Load())
 }
 
 // ResultKeys lists every cached result key, sorted — the enumeration the
@@ -161,58 +154,9 @@ func (s *Service) FinishRouted(j *Job, res *sim.Result, err error) {
 	s.publish()
 }
 
-// TakeQueued removes one queued job for delegation to a thief node, scanning
-// shards deepest-first. Jobs that must not leave the node (uncacheable — no
-// canonical identity to return a result under — or already cancel-requested) are
-// not delegated; they are executed locally on a fresh goroutine instead, and
-// the scan continues. ok=false means nothing stealable is queued.
-func (s *Service) TakeQueued() (j *Job, ok bool) {
-	for {
-		deepest, depth := -1, 0
-		for i, q := range s.queues {
-			if d := q.len(); d > depth {
-				deepest, depth = i, d
-			}
-		}
-		if deepest < 0 {
-			return nil, false
-		}
-		j, ok := s.queues[deepest].tryPop()
-		if !ok {
-			continue // raced with the shard's own worker; rescan
-		}
-		s.queued.Add(-1)
-		if j.cacheable && !j.cancelRequested() {
-			return j, true
-		}
-		go func(j *Job) {
-			s.execute(j)
-			s.publish()
-		}(j)
-	}
-}
-
-// FinishStolen completes a job previously handed out by TakeQueued with the
-// result the thief returned. Cancellation that raced in while the job was
-// delegated wins: the job finalizes cancelled and the result is discarded
-// (it is already cached).
-func (s *Service) FinishStolen(j *Job, res *sim.Result) {
-	if !j.beginRunning() {
-		s.finishJob(j, StateCancelled, nil, sim.ErrCancelled)
-		s.publish()
-		return
-	}
-	if j.cacheable {
-		s.cache.put(j.key, res)
-	}
-	s.finishJob(j, StateDone, res, nil)
-	s.publish()
-}
-
 // ExecuteNow runs j to a terminal state on the calling goroutine — the
-// re-dispatch path when a job's owner died and ownership fell back to this
-// node, and the reclaim path when a thief never reported back. Safe to call
-// on a job that StartRouted already marked running.
+// local fallback of a routed job whose owners stayed busy or kept dying.
+// Safe to call on a job that StartRouted already marked running.
 func (s *Service) ExecuteNow(j *Job) {
 	s.execute(j)
 	s.publish()
@@ -237,9 +181,6 @@ type NodeStat struct {
 	// Cluster counters (self row only).
 	Forwarded    uint64 `json:"forwarded,omitempty"`
 	Redispatched uint64 `json:"redispatched,omitempty"`
-	StolenIn     uint64 `json:"stolenIn,omitempty"`
-	StolenOut    uint64 `json:"stolenOut,omitempty"`
-	Replicated   uint64 `json:"replicated,omitempty"`
 	ReplTorn     uint64 `json:"replTorn,omitempty"`
 	Fetched      uint64 `json:"fetched,omitempty"`
 	Backfilled   uint64 `json:"backfilled,omitempty"`

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/report"
+	"repro/internal/sim"
 )
 
 func testServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
@@ -135,7 +136,7 @@ func TestHTTPSubmitLifecycle(t *testing.T) {
 // TestHTTPValidation: malformed bodies and unknown jobs produce 4xx JSON
 // errors.
 func TestHTTPValidation(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, QueueCap: 2})
+	s, ts := testServer(t, Config{Workers: 1, QueueCap: 2})
 
 	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader("{"))
 	if err != nil {
@@ -156,6 +157,18 @@ func TestHTTPValidation(t *testing.T) {
 	_, resp = submitReq(t, ts, bad)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad prefetcher: want 400, got %d", resp.StatusCode)
+	}
+
+	wide := tinyReq(1)
+	for len(wide.Benchmarks) <= sim.MaxCores {
+		wide.Benchmarks = append(wide.Benchmarks, "mcf")
+	}
+	_, resp = submitReq(t, ts, wide)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("%d cores: want 400, got %d", len(wide.Benchmarks), resp.StatusCode)
+	}
+	if st := s.Stats(); st.Submitted != 0 {
+		t.Fatalf("rejected submissions reached the scheduler: %d submitted", st.Submitted)
 	}
 
 	huge := tinyReq(1)

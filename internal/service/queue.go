@@ -54,22 +54,6 @@ func (q *fairQueue) pop() (*Job, bool) {
 		}
 		q.cond.Wait()
 	}
-	return q.popLocked(), true
-}
-
-// tryPop removes one job without blocking — the work-stealing donor path.
-// ok=false means the shard is empty right now.
-func (q *fairQueue) tryPop() (*Job, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.n == 0 {
-		return nil, false
-	}
-	return q.popLocked(), true
-}
-
-// popLocked extracts the next job round-robin over clients; q.mu held, n > 0.
-func (q *fairQueue) popLocked() *Job {
 	if q.rr >= len(q.ring) {
 		q.rr = 0
 	}
@@ -87,7 +71,7 @@ func (q *fairQueue) popLocked() *Job {
 		q.rr++
 	}
 	q.n--
-	return j
+	return j, true
 }
 
 // close wakes all waiters; see the type comment for drain semantics.

@@ -135,10 +135,21 @@ func Default(benchmarks []string) Config {
 	}
 }
 
+// MaxCores bounds len(Benchmarks), one core per entry. New allocates about
+// 0.84 MB per core before the first cycle, and one job body (an HTTP submit
+// or a forwarded cluster submit) names the whole benchmark list, so without
+// a bound a 1 MiB body could ask for ~170k cores. The paper's largest
+// system is Fig. 14's eight cores; 16 leaves room to scale past it while a
+// System stays around 14 MB.
+const MaxCores = 16
+
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
 	if len(c.Benchmarks) == 0 {
 		return fmt.Errorf("sim: no benchmarks")
+	}
+	if len(c.Benchmarks) > MaxCores {
+		return fmt.Errorf("sim: %d cores exceeds the %d-core limit", len(c.Benchmarks), MaxCores)
 	}
 	if c.MCs != 1 && c.MCs != 2 {
 		return fmt.Errorf("sim: MCs must be 1 or 2, got %d", c.MCs)

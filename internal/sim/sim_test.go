@@ -201,6 +201,32 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsTooManyCores: a benchmark list past MaxCores is refused
+// by Validate — the check New runs before allocating any core — while a
+// MaxCores-wide system still validates.
+func TestValidateRejectsTooManyCores(t *testing.T) {
+	many := func(n int) Config {
+		b := make([]string, n)
+		for i := range b {
+			b[i] = "mcf"
+		}
+		return Default(b)
+	}
+	if MaxCores < 8 {
+		t.Fatalf("MaxCores %d cannot hold Fig. 14's eight-core runs", MaxCores)
+	}
+	widest := many(MaxCores)
+	if err := widest.Validate(); err != nil {
+		t.Fatalf("%d cores rejected: %v", MaxCores, err)
+	}
+	for _, n := range []int{MaxCores + 1, 170_000} {
+		cfg := many(n)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "core limit") {
+			t.Errorf("%d cores: Validate = %v, want the core-limit error", n, err)
+		}
+	}
+}
+
 func TestLatencySegmentsConsistent(t *testing.T) {
 	r := mustRun(t, smallCfg([]string{"milc", "milc", "milc", "milc"}))
 	if r.Sys.CoreMissCount == 0 {

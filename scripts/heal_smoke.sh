@@ -90,8 +90,7 @@ wait_members "$srv_a" 2
 echo "2-node authenticated fabric: ok"
 
 # Sweep 1 fired at node a without waiting; node c joins while it is in
-# flight, so the ring changes under queued work (which stays on a, or is
-# stolen by an idle peer).
+# flight, so the ring changes under queued work (which stays on a).
 for seed in 31 32 33; do
     "$dir/emcctl" -server "$srv_a" submit \
         -bench mcf,mcf,mcf,mcf -n 50000 -seed "$seed" -emc >/dev/null
