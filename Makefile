@@ -118,10 +118,10 @@ heal-smoke:
 # Microbenchmark snapshot: every benchmark in the simulator core,
 # interconnect, and DRAM packages, captured as JSON so a later session (or
 # CI's bench job) can diff allocation and latency regressions. The iteration
-# count is pinned (not time-based) so allocs/op is deterministic: warm-up
-# loops inside the benchmarks reach steady-state pool/queue capacity, and at
-# 100 measured iterations any per-op allocation shows up as >= 1 alloc/op
-# instead of being rounded away.
+# count is pinned (not time-based) so allocs/op and B/op are deterministic:
+# warm-up loops inside the benchmarks reach steady-state pool/queue
+# capacity. allocs/op truncates (90 allocations in 100 iterations read 0),
+# so `benchjson -diff-allocs` also fails on any B/op rise.
 BENCHTIME ?= 100x
 bench:
 	$(GO) test -run xxx -bench . -benchtime=$(BENCHTIME) -count=1 \

@@ -15,9 +15,12 @@
 //
 // With -diff-allocs it compares the allocation profile of two snapshots
 // (committed baseline vs freshly regenerated): every benchmark present in
-// either must be present in both with identical allocs/op. Timing metrics
-// are machine-dependent and deliberately ignored — allocation counts are
-// the deterministic contract CI can diff across runners:
+// either must be present in both with identical allocs/op, and no
+// benchmark's B/op may rise above the baseline's. allocs/op is an integer
+// quotient, so an allocation made on fewer than every iteration (say 90 of
+// 100) reads 0 allocs/op; B/op still shows its bytes. Timing metrics are
+// machine-dependent and deliberately ignored — allocation counts and bytes
+// are the deterministic contract CI can diff across runners:
 //
 //	benchjson -diff-allocs BENCH_sim.json /tmp/BENCH_new.json
 //
@@ -50,7 +53,7 @@ func main() {
 	checkNoalloc := flag.Bool("check-noalloc", false,
 		"audit a bench JSON snapshot against //simlint:noalloc bench= annotations and exit non-zero on any violation")
 	diffAllocs := flag.Bool("diff-allocs", false,
-		"compare allocs/op between two snapshots (baseline, fresh) and exit non-zero on any difference")
+		"compare two snapshots (baseline, fresh) and exit non-zero on any allocs/op difference or B/op rise")
 	src := flag.String("src", ".",
 		"source tree to scan for annotations (with -check-noalloc)")
 	trend := flag.String("trend", "",
@@ -181,8 +184,9 @@ func loadSnapshot(file string) (map[string]map[string]float64, error) {
 }
 
 // runDiffAllocs returns the process exit code: 0 when both snapshots cover
-// the same benchmarks with identical allocs/op, 1 on any allocation drift or
-// benchmark-set drift, 2 on operational errors.
+// the same benchmarks with identical allocs/op and no B/op above the
+// baseline's, 1 on any allocation drift or benchmark-set drift, 2 on
+// operational errors.
 func runDiffAllocs(baseFile, freshFile string) int {
 	base, err := loadSnapshot(baseFile)
 	if err != nil {
@@ -206,6 +210,11 @@ func runDiffAllocs(baseFile, freshFile string) int {
 		if ba, fa := bm["allocs/op"], fm["allocs/op"]; ba != fa {
 			fmt.Fprintf(os.Stderr, "benchjson: %s allocs/op drifted: baseline %s has %g, fresh %s has %g\n",
 				name, baseFile, ba, freshFile, fa)
+			bad++
+		}
+		if bb, fb := bm["B/op"], fm["B/op"]; fb > bb {
+			fmt.Fprintf(os.Stderr, "benchjson: %s B/op rose: baseline %s has %g, fresh %s has %g\n",
+				name, baseFile, bb, freshFile, fb)
 			bad++
 		}
 	}

@@ -74,9 +74,10 @@ func writeSnap(t *testing.T, name, content string) string {
 }
 
 func TestDiffAllocsClean(t *testing.T) {
-	// ns/op differs (machine-dependent) but allocs/op matches: clean.
-	base := writeSnap(t, "base.json", `{"BenchmarkA": {"allocs/op": 0, "ns/op": 10}, "BenchmarkB": {"allocs/op": 2, "ns/op": 7}}`)
-	fresh := writeSnap(t, "fresh.json", `{"BenchmarkA": {"allocs/op": 0, "ns/op": 99}, "BenchmarkB": {"allocs/op": 2, "ns/op": 1}}`)
+	// ns/op differs (machine-dependent) and B/op fell, but allocs/op
+	// matches: clean.
+	base := writeSnap(t, "base.json", `{"BenchmarkA": {"allocs/op": 0, "ns/op": 10, "B/op": 57}, "BenchmarkB": {"allocs/op": 2, "ns/op": 7}}`)
+	fresh := writeSnap(t, "fresh.json", `{"BenchmarkA": {"allocs/op": 0, "ns/op": 99, "B/op": 9}, "BenchmarkB": {"allocs/op": 2, "ns/op": 1}}`)
 	if code := runDiffAllocs(base, fresh); code != 0 {
 		t.Fatalf("matching profiles: exit %d, want 0", code)
 	}
@@ -87,6 +88,16 @@ func TestDiffAllocsRegression(t *testing.T) {
 	fresh := writeSnap(t, "fresh.json", `{"BenchmarkA": {"allocs/op": 3}}`)
 	if code := runDiffAllocs(base, fresh); code != 1 {
 		t.Fatalf("alloc regression: exit %d, want 1", code)
+	}
+}
+
+// TestDiffAllocsBytesRegression: an allocation on 90 of 100 iterations
+// truncates to 0 allocs/op, so only B/op shows it; a rise fails the diff.
+func TestDiffAllocsBytesRegression(t *testing.T) {
+	base := writeSnap(t, "base.json", `{"BenchmarkA": {"allocs/op": 0, "B/op": 9}}`)
+	fresh := writeSnap(t, "fresh.json", `{"BenchmarkA": {"allocs/op": 0, "B/op": 57}}`)
+	if code := runDiffAllocs(base, fresh); code != 1 {
+		t.Fatalf("B/op regression: exit %d, want 1", code)
 	}
 }
 

@@ -243,6 +243,8 @@ func (t *HTTPTransport) base(node string) (string, error) {
 // do performs one fabric request, classifying the response: 2xx decodes
 // into out (when non-nil), 429 is ErrBusy, 503 and transport failures are
 // ErrUnreachable, everything else is a permanent error carrying the body.
+// A response body over service.MaxRequestBody is a permanent error too: it
+// is read no further than one byte past the cap.
 func (t *HTTPTransport) do(ctx context.Context, method, url, contentType string, body []byte, out any) (int, error) {
 	var rd io.Reader
 	if body != nil {
@@ -266,9 +268,12 @@ func (t *HTTPTransport) do(ctx context.Context, method, url, contentType string,
 		return 0, ErrUnreachable
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, service.MaxRequestBody+1))
 	if err != nil {
 		return resp.StatusCode, ErrUnreachable
+	}
+	if len(data) > service.MaxRequestBody {
+		return resp.StatusCode, fmt.Errorf("cluster: %s: response body over the %d-byte cap", url, service.MaxRequestBody)
 	}
 	switch {
 	case resp.StatusCode == http.StatusTooManyRequests:

@@ -8,10 +8,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -362,6 +364,42 @@ func TestHTTPBodyLimit(t *testing.T) {
 	}
 	if st := a.node.Service().Stats(); st.Submitted != 0 {
 		t.Fatalf("oversized submissions reached the scheduler: %d submitted", st.Submitted)
+	}
+}
+
+// TestHTTPResponseBodyLimit: the transport reads a peer's response body
+// up to service.MaxRequestBody. A body at the cap still arrives whole; a
+// 2 MiB answer to a fetch is a permanent error, not a retryable one.
+func TestHTTPResponseBodyLimit(t *testing.T) {
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		size := service.MaxRequestBody
+		if r.URL.Query().Get("key") == "huge" {
+			size = 2 << 20
+		}
+		w.Write(bytes.Repeat([]byte{'x'}, size)) //nolint:errcheck // the client may hang up past the cap
+	}))
+	defer peer.Close()
+	tr := cluster.NewHTTPTransport(func(string) (string, bool) { return peer.URL, true })
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	frame, err := tr.Fetch(ctx, "p", "at-cap")
+	if err != nil {
+		t.Fatalf("body at the cap: %v", err)
+	}
+	if len(frame) != service.MaxRequestBody {
+		t.Fatalf("body at the cap: got %d bytes, want %d", len(frame), service.MaxRequestBody)
+	}
+
+	_, err = tr.Fetch(ctx, "p", "huge")
+	if err == nil {
+		t.Fatal("2 MiB response accepted")
+	}
+	if errors.Is(err, cluster.ErrUnreachable) || errors.Is(err, cluster.ErrBusy) || errors.Is(err, cluster.ErrNoRecord) {
+		t.Fatalf("oversized response classified %v, want a permanent error", err)
+	}
+	if !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("oversized response error %q does not name the cap", err)
 	}
 }
 

@@ -104,7 +104,7 @@ type MissInfo struct {
 // simulator implements it. Fills come back via Core.Fill.
 type Uncore interface {
 	// LoadMiss requests a cache-line fill.
-	LoadMiss(m *MissInfo)
+	LoadMiss(m MissInfo)
 	// StoreWrite propagates a retired write-through store toward the LLC.
 	StoreWrite(coreID int, lineAddr uint64, vaddr uint64)
 }
@@ -290,7 +290,8 @@ type Core struct {
 	fetchHold        int32 // rob slot of unresolved mispredicted branch, -1
 	fetchBlockedTill uint64
 
-	pendingFetch *isa.Uop // uop fetched but not yet dispatched (stall)
+	pendingFetch *isa.Uop // uop fetched but not yet dispatched (stall), or nil
+	fetchBuf     isa.Uop  // backing store for the fetched uop; keeps it off the heap
 
 	depCounter int
 	depMax     int
@@ -763,7 +764,8 @@ func (c *Core) dispatch() {
 				c.done = true
 				return
 			}
-			u = &uu
+			c.fetchBuf = uu
+			u = &c.fetchBuf
 		}
 		// LSQ capacity.
 		switch u.Op {

@@ -24,7 +24,7 @@ type fill struct {
 	at   uint64
 }
 
-func (f *fakeUncore) LoadMiss(m *MissInfo) {
+func (f *fakeUncore) LoadMiss(m MissInfo) {
 	f.requests++
 	miss := true
 	if f.llcMiss != nil {

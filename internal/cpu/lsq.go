@@ -67,7 +67,7 @@ func (c *Core) issueLoad(idx int32) bool {
 	m.Waiters = append(m.Waiters, uint64(idx))
 	if !merged {
 		c.Stats.L1MissRequests++
-		c.uncore.LoadMiss(&MissInfo{
+		c.uncore.LoadMiss(MissInfo{
 			CoreID:    c.cfg.ID,
 			LineAddr:  line,
 			VAddr:     e.vaddr,

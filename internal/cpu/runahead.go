@@ -235,7 +235,7 @@ func (c *Core) runaheadTouch(vaddr uint64, delay uint64) (onChip, poisonDst bool
 		// Already in flight; the demand fill will cover it.
 		return false, true
 	}
-	c.uncore.LoadMiss(&MissInfo{
+	c.uncore.LoadMiss(MissInfo{
 		CoreID:   c.cfg.ID,
 		LineAddr: line,
 		VAddr:    vaddr,

@@ -77,7 +77,7 @@ type prefetchRecorder struct {
 	prefetchLines []uint64
 }
 
-func (p *prefetchRecorder) LoadMiss(m *MissInfo) {
+func (p *prefetchRecorder) LoadMiss(m MissInfo) {
 	if m.Prefetch {
 		p.prefetchLines = append(p.prefetchLines, m.LineAddr)
 		return // prefetches fill the LLC; the core sees nothing

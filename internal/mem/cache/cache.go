@@ -9,7 +9,10 @@
 // callers (core, LLC slice, EMC), which know where the cache sits.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineShift and LineSize fix the 64-byte line geometry of Table 1.
 const (
@@ -42,24 +45,33 @@ type Stats struct {
 	Fills      uint64
 }
 
+// PresenceBits is the width of a line's core-presence mask: the most cores
+// an inclusive directory can track.
+const PresenceBits = 16
+
+// line is packed to 24 bytes: the two words first, then the mask and the
+// flags, which share the last word.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64
+	tag  uint64
+	used uint64
 
 	// Inclusive-directory state, used only by LLC slices.
-	presence uint64 // bitmask of cores holding the line in an L1
-	emc      bool   // the paper's extra bit: line is held by the EMC cache
-	pf       bool   // line was brought in by a prefetch, not yet demanded
+	presence uint16 // bitmask of cores holding the line in an L1
+
+	valid bool
+	dirty bool
+	emc   bool // the paper's extra bit: line is held by the EMC cache
+	pf    bool // line was brought in by a prefetch, not yet demanded
 }
 
-// Cache is a set-associative cache with true LRU replacement.
+// Cache is a set-associative cache with true LRU replacement. The ways of
+// set s are lines[s*Ways : (s+1)*Ways].
 type Cache struct {
-	cfg  Config
-	sets [][]line
-	mask uint64
-	tick uint64
+	cfg      Config
+	lines    []line
+	mask     uint64
+	tagShift uint // log2 of the set count: line address >> tagShift = tag
+	tick     uint64
 
 	Stats Stats
 }
@@ -78,12 +90,12 @@ func New(cfg Config) *Cache {
 	if nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, nSets))
 	}
-	sets := make([][]line, nSets)
-	backing := make([]line, nSets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways:cfg.Ways], backing[cfg.Ways:]
+	return &Cache{
+		cfg:      cfg,
+		lines:    make([]line, nSets*cfg.Ways),
+		mask:     uint64(nSets - 1),
+		tagShift: uint(bits.TrailingZeros(uint(nSets))),
 	}
-	return &Cache{cfg: cfg, sets: sets, mask: uint64(nSets - 1)}
 }
 
 // Config returns the cache's configuration.
@@ -92,26 +104,21 @@ func (c *Cache) Config() Config { return c.cfg }
 // Latency returns the configured access latency in cycles.
 func (c *Cache) Latency() int { return c.cfg.Latency }
 
-func (c *Cache) set(lineAddr uint64) []line { return c.sets[lineAddr&c.mask] }
+func (c *Cache) set(lineAddr uint64) []line {
+	w := c.cfg.Ways
+	base := int(lineAddr&c.mask) * w
+	return c.lines[base : base+w : base+w]
+}
 
 func (c *Cache) find(lineAddr uint64) *line {
 	set := c.set(lineAddr)
-	tag := lineAddr >> uint(trailingZeros(c.mask+1))
+	tag := lineAddr >> c.tagShift
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			return &set[i]
 		}
 	}
 	return nil
-}
-
-func trailingZeros(v uint64) int {
-	n := 0
-	for v&1 == 0 && v != 0 {
-		v >>= 1
-		n++
-	}
-	return n
 }
 
 // Access looks up the line containing addr, updating LRU and dirty state.
@@ -140,11 +147,9 @@ func (c *Cache) Probe(addr uint64) bool { return c.find(LineAddr(addr)) != nil }
 // observability layer; called at publish cadence, not per access).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid {
-				n++
-			}
+	for i := range c.lines {
+		if c.lines[i].valid {
+			n++
 		}
 	}
 	return n
@@ -198,7 +203,7 @@ func (c *Cache) Insert(addr uint64, dirty bool) Victim {
 			LineAddr: c.lineAddrOf(victim, la),
 			Dirty:    victim.dirty,
 			Valid:    true,
-			Presence: victim.presence,
+			Presence: uint64(victim.presence),
 			EMC:      victim.emc,
 		}
 		c.Stats.Evictions++
@@ -206,14 +211,12 @@ func (c *Cache) Insert(addr uint64, dirty bool) Victim {
 			c.Stats.Writebacks++
 		}
 	}
-	setIdx := la & c.mask
 	*victim = line{
-		tag:   la >> uint(trailingZeros(c.mask+1)),
+		tag:   la >> c.tagShift,
+		used:  c.tick,
 		valid: true,
 		dirty: dirty,
-		used:  c.tick,
 	}
-	_ = setIdx
 	c.Stats.Fills++
 	return out
 }
@@ -221,8 +224,7 @@ func (c *Cache) Insert(addr uint64, dirty bool) Victim {
 // lineAddrOf reconstructs the full line address of a resident way given any
 // line address that maps to the same set.
 func (c *Cache) lineAddrOf(l *line, sameSet uint64) uint64 {
-	bits := uint(trailingZeros(c.mask + 1))
-	return l.tag<<bits | (sameSet & c.mask)
+	return l.tag<<c.tagShift | (sameSet & c.mask)
 }
 
 // Invalidate removes the line containing addr, reporting whether it was
@@ -239,7 +241,8 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 
 // --- Inclusive-directory operations (LLC slices only) ----------------------
 
-// SetPresence records that core holds the line in its L1.
+// SetPresence records that core (below PresenceBits) holds the line in its
+// L1.
 func (c *Cache) SetPresence(addr uint64, core int, on bool) {
 	if l := c.find(LineAddr(addr)); l != nil {
 		if on {
@@ -253,7 +256,7 @@ func (c *Cache) SetPresence(addr uint64, core int, on bool) {
 // Presence returns the core-presence bitmask for the line, or 0.
 func (c *Cache) Presence(addr uint64) uint64 {
 	if l := c.find(LineAddr(addr)); l != nil {
-		return l.presence
+		return uint64(l.presence)
 	}
 	return 0
 }
@@ -300,17 +303,4 @@ func (c *Cache) MarkDirty(addr uint64) bool {
 		return true
 	}
 	return false
-}
-
-// Lines returns the total number of resident lines (testing/inspection).
-func (c *Cache) Lines() int {
-	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid {
-				n++
-			}
-		}
-	}
-	return n
 }

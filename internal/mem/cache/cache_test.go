@@ -3,11 +3,21 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func small() *Cache {
 	// 4 sets x 2 ways x 64B = 512B
 	return New(Config{Name: "t", SizeBytes: 512, Ways: 2, Latency: 3})
+}
+
+// TestLinePacked: a line stays 24 bytes (two words, then the presence mask
+// and four flags in the third), a third of the LLC's footprint saved over
+// the unpacked 40-byte layout.
+func TestLinePacked(t *testing.T) {
+	if n := unsafe.Sizeof(line{}); n != 24 {
+		t.Fatalf("line is %d bytes, want 24", n)
+	}
 }
 
 func TestHitMissBasics(t *testing.T) {
@@ -80,8 +90,8 @@ func TestInsertExistingMergesDirty(t *testing.T) {
 	if _, dirty := c.ProbeDirty(0x80); !dirty {
 		t.Error("re-insert with dirty must dirty the line")
 	}
-	if c.Lines() != 1 {
-		t.Errorf("lines = %d, want 1", c.Lines())
+	if c.Occupancy() != 1 {
+		t.Errorf("lines = %d, want 1", c.Occupancy())
 	}
 }
 
@@ -166,7 +176,7 @@ func TestInsertProbeProperty(t *testing.T) {
 	capLines := 4096 / LineSize
 	f := func(addr uint64) bool {
 		c.Insert(addr, false)
-		return c.Probe(addr) && c.Lines() <= capLines
+		return c.Probe(addr) && c.Occupancy() <= capLines
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

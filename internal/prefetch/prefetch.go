@@ -193,9 +193,10 @@ type Markov struct {
 	has   bool
 }
 
-// NewMarkov builds a Markov prefetcher.
+// NewMarkov builds a Markov prefetcher. The table starts empty and grows
+// with use; Train's FIFO eviction bounds it at cfg.Entries.
 func NewMarkov(cfg MarkovConfig) *Markov {
-	return &Markov{cfg: cfg, table: make(map[uint64]*markovEntry, cfg.Entries)}
+	return &Markov{cfg: cfg, table: make(map[uint64]*markovEntry)}
 }
 
 // Name returns "markov".

@@ -115,7 +115,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // MaxRequestBody caps every HTTP request body the service and the fabric
 // handler read: job and forwarded-job JSON, join announcements, and EMCR
-// frames. The largest EMCR frame a Fig. 12 configuration produces is ~6 KB,
+// frames. The fabric's HTTP transport caps every peer response body at the
+// same size. The largest EMCR frame a Fig. 12 configuration produces is ~6 KB,
 // so 1 MiB leaves two orders of magnitude of headroom while keeping an
 // unauthenticated client from making a node buffer an unbounded body.
 const MaxRequestBody = 1 << 20

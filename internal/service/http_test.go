@@ -167,6 +167,12 @@ func TestHTTPValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("%d cores: want 400, got %d", len(wide.Benchmarks), resp.StatusCode)
 	}
+	unknown := tinyReq(1)
+	unknown.Benchmarks = []string{"notabench"}
+	_, resp = submitReq(t, ts, unknown)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown benchmark: want 400, got %d", resp.StatusCode)
+	}
 	if st := s.Stats(); st.Submitted != 0 {
 		t.Fatalf("rejected submissions reached the scheduler: %d submitted", st.Submitted)
 	}

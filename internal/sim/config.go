@@ -5,8 +5,10 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/emc"
+	"repro/internal/mem/cache"
 	"repro/internal/mem/dram"
 	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -136,12 +138,16 @@ func Default(benchmarks []string) Config {
 }
 
 // MaxCores bounds len(Benchmarks), one core per entry. New allocates about
-// 0.84 MB per core before the first cycle, and one job body (an HTTP submit
-// or a forwarded cluster submit) names the whole benchmark list, so without
-// a bound a 1 MiB body could ask for ~170k cores. The paper's largest
-// system is Fig. 14's eight cores; 16 leaves room to scale past it while a
-// System stays around 14 MB.
+// 0.51 MB per core before the first cycle (with no prefetcher or with
+// Markov+stream), and one job body (an HTTP submit or a forwarded cluster
+// submit) names the whole benchmark list, so without a bound a 1 MiB body
+// could ask for ~170k cores. The paper's largest system is Fig. 14's eight
+// cores; 16 leaves room to scale past it while a System stays around 8 MB.
 const MaxCores = 16
+
+// Every core needs a bit in an LLC line's presence mask: this constant
+// stops compiling if MaxCores outgrows cache.PresenceBits.
+const _ uint = cache.PresenceBits - MaxCores
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
@@ -150,6 +156,11 @@ func (c *Config) Validate() error {
 	}
 	if len(c.Benchmarks) > MaxCores {
 		return fmt.Errorf("sim: %d cores exceeds the %d-core limit", len(c.Benchmarks), MaxCores)
+	}
+	for _, b := range c.Benchmarks {
+		if _, err := trace.ByName(b); err != nil {
+			return err
+		}
 	}
 	if c.MCs != 1 && c.MCs != 2 {
 		return fmt.Errorf("sim: MCs must be 1 or 2, got %d", c.MCs)

@@ -3,6 +3,8 @@ package sim
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/mem/cache"
 )
 
 func smallCfg(benchmarks []string) Config {
@@ -190,6 +192,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func() Config { c := Default([]string{"mcf"}); c.MCs = 3; return c }(),
 		func() Config { c := Default([]string{"mcf"}); c.InstrPerCore = 0; return c }(),
 		func() Config { c := Default([]string{"mcf"}); c.Prefetcher = "bogus"; return c }(),
+		Default([]string{"mcf", "notabench", "lbm", "milc"}),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -224,6 +227,34 @@ func TestValidateRejectsTooManyCores(t *testing.T) {
 		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "core limit") {
 			t.Errorf("%d cores: Validate = %v, want the core-limit error", n, err)
 		}
+	}
+}
+
+// TestPresenceMaskCoversMaxCores: the highest core a System can have keeps
+// its presence bit through SetPresence, Presence and the eviction Victim
+// that drives the inclusive L1 invalidation. (config.go's constant
+// assertion stops the build if MaxCores outgrows the mask.)
+func TestPresenceMaskCoversMaxCores(t *testing.T) {
+	top := MaxCores - 1
+	want := uint64(1)<<top | 1
+	c := cache.New(cache.Config{Name: "llc", SizeBytes: 2 * cache.LineSize, Ways: 2}) // one set
+	const a, b, d = 0, cache.LineSize, 2 * cache.LineSize
+	c.Insert(a, false)
+	c.SetPresence(a, top, true)
+	c.SetPresence(a, 0, true)
+	if got := c.Presence(a); got != want {
+		t.Fatalf("Presence = %#x, want %#x", got, want)
+	}
+	c.Insert(b, false)
+	v := c.Insert(d, false) // evicts a, the least recently used
+	if !v.Valid || v.LineAddr != cache.LineAddr(a) || v.Presence != want {
+		t.Fatalf("victim %+v, want line %#x with presence %#x", v, cache.LineAddr(a), want)
+	}
+	c.Insert(a, false)
+	c.SetPresence(a, top, true)
+	c.SetPresence(a, top, false)
+	if got := c.Presence(a); got != 0 {
+		t.Fatalf("Presence after clearing core %d = %#x, want 0", top, got)
 	}
 }
 

@@ -132,7 +132,7 @@ type mcNode struct {
 	emc       *emc.EMC
 	pending   map[uint64]*mcPending
 	retryQ    []*dram.Request
-	retryHead int // consumed prefix of retryQ
+	retryHead int          // consumed prefix of retryQ
 	magicQ    []*cpu.Chain // MagicChains diagnostic mode
 }
 
@@ -336,7 +336,7 @@ type coreShim struct {
 }
 
 // LoadMiss implements cpu.Uncore.
-func (cs coreShim) LoadMiss(m *cpu.MissInfo) { cs.s.coreLoadMiss(m) }
+func (cs coreShim) LoadMiss(m cpu.MissInfo) { cs.s.coreLoadMiss(m) }
 
 // StoreWrite implements cpu.Uncore.
 func (cs coreShim) StoreWrite(coreID int, lineAddr, vaddr uint64) {
@@ -466,7 +466,7 @@ func (s *System) mcLine(line uint64) uint64 { return line / uint64(len(s.mcs)) }
 
 // ---- Core-side callbacks -----------------------------------------------------
 
-func (s *System) coreLoadMiss(m *cpu.MissInfo) {
+func (s *System) coreLoadMiss(m cpu.MissInfo) {
 	r := s.allocReq()
 	r.line, r.core, r.pc, r.vaddr = m.LineAddr, m.CoreID, m.PC, m.VAddr
 	r.dependent, r.prefetch, r.issuedAt = m.Dependent, m.Prefetch, m.IssuedAt
